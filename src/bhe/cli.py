@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import os
 import sys
 import tempfile
@@ -143,6 +145,16 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in ("verify", "reduce", "pde-solve", "pde-residual", "converge"):
             raise ValidationError(f"unrecognized command {self.command!r}")
+        for name in ("n", "max_iterations"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer (got {v!r})")
+        for name in ("c1", "c2", "a", "perturb_eps", "tolerance", "solver_tol"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValidationError(f"{name} must be a finite number (got {v!r})")
+        if self.perturb_mode not in ("odd", "even"):
+            raise ValidationError(f"perturb_mode must be 'odd' or 'even' (got {self.perturb_mode!r})")
         if self.n < 16:
             raise ValidationError("grid size must be at least 16")
         if self.kind1 not in ("sphere", "flat-torus") or self.kind2 not in (
@@ -353,9 +365,7 @@ def run_pde_solve(cfg: RunConfig) -> int:
         s0 = _build_surface(cfg, perturbed=bool(cfg.perturb_eps))
     except ValidationError as exc:
         return _class_violation_exit(cfg, exc)
-    scfg = solver.SolverConfig(
-        max_iterations=cfg.max_iterations, tolerance=cfg.solver_tol, grid=cfg.n
-    )
+    scfg = solver.SolverConfig(max_iterations=cfg.max_iterations, tolerance=cfg.solver_tol)
     trace = solver.newton_solve(s0, scfg)
     field = _write_surface_artifacts(cfg, trace.surface)
     payload = trace.to_dict()

@@ -173,7 +173,7 @@ def reduce(m: HermitianModel, bhe_tol: float = 1e-10) -> ReductionData:
 
     H = bismut_torsion(m)
     P = np.eye(m.dim) - np.outer(V, eta.components) - np.outer(JV, Jeta.components)
-    H_T = j_conjugate(H, P.T)  # pullback through the horizontal projector
+    H_T = j_conjugate(H, P)  # pullback through the horizontal projector
     g_T = g - np.outer(eta.components, eta.components) - np.outer(
         Jeta.components, Jeta.components
     )

@@ -45,15 +45,18 @@ class SphereProfile:
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", theta)
-        if self.c <= 0 or self.n < 4:
-            raise ValidationError("profile needs c > 0 and at least 4 intervals")
+        # written as not (x > 0) so that NaN fails the test
+        if not (0.0 < self.c < math.inf) or self.n < 4:
+            raise ValidationError("profile needs finite c > 0 and at least 4 intervals")
+        if not np.all(np.isfinite(theta)):
+            raise ValidationError("profile values must be finite")
         if self.kind == "sphere":
             if theta.shape != (self.n + 1,):
                 raise ValidationError("sphere profile stores n+1 nodes")
             scale = max(1.0, float(np.max(np.abs(theta))))
             if abs(theta[0]) > 1e-12 * scale or abs(theta[-1]) > 1e-12 * scale:
                 raise ValidationError("sphere profile must vanish at the poles")
-            if np.any(theta[1:-1] <= 0):
+            if not np.all(theta[1:-1] > 0):
                 raise ValidationError("profile must be positive at interior nodes")
             h = self.h
             dl = (-3 * theta[0] + 4 * theta[1] - theta[2]) / (2 * h)
@@ -66,7 +69,7 @@ class SphereProfile:
         elif self.kind == "flat-torus":
             if theta.shape != (self.n,):
                 raise ValidationError("flat profile stores n periodic nodes")
-            if np.any(theta <= 0):
+            if not np.all(theta > 0):
                 raise ValidationError("profile must be positive")
             if np.max(np.abs(theta - theta[0])) > 0:
                 raise ValidationError("flat factor requires constant Theta")
@@ -159,15 +162,26 @@ def laplacian_1d(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
         out = (flux - np.roll(flux, 1, axis=0)) / h
         return np.moveaxis(out, 0, axis)
     th_b = th.reshape((-1,) + (1,) * (u_m.ndim - 1))
-    half = 0.5 * (th_b[1:] + th_b[:-1])
-    flux = half * (u_m[1:] - u_m[:-1]) / h
-    out = np.empty_like(u_m)
+    return np.moveaxis(sphere_flux_laplacian(p, th_b, u_m), 0, axis)
+
+
+def sphere_flux_laplacian(p: SphereProfile, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(theta u')' along axis 0 on the sphere grid of p, for any node values theta.
+
+    theta broadcasts against u, so one call can apply the stencil of many
+    profiles at once (one profile per column).  Pole rows use
+    theta'(pole) u'(pole).
+    """
+    h = p.h
+    half = 0.5 * (theta[1:] + theta[:-1])
+    flux = half * (u[1:] - u[:-1]) / h
+    out = np.empty_like(u)
     out[1:-1] = (flux[1:] - flux[:-1]) / h
-    dth = _d1(p, th)
-    du = _d1(p, u_m)
+    dth = _d1(p, theta)
+    du = _d1(p, u)
     out[0] = dth[0] * du[0]
     out[-1] = dth[-1] * du[-1]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 # ---------------------------------------------------------------------------

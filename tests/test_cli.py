@@ -92,6 +92,23 @@ class TestPde:
         cfg = write_config(tmp_path, bogus=1)
         assert main(["pde", "residual", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            {"n": "64"},
+            {"a": float("nan")},
+            {"c1": float("nan")},
+            {"perturb_eps": 0.01, "perturb_mode": "zigzag"},
+        ],
+        ids=["string-n", "nan-a", "nan-c1", "unknown-perturb-mode"],
+    )
+    def test_malformed_value_exit_2(self, tmp_path, capsys, probe):
+        cfg = write_config(tmp_path, **probe)
+        assert main(["pde", "residual", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bhe: invalid input:") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
 
 class TestConverge:
     def test_orders_reported(self, tmp_path):

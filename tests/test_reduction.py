@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bhe import catalog, reduction
+from bhe.cli import model_report
 from bhe.forms import FormTensor, MetricFrame
 from bhe.frame_geometry import (
     HermitianModel,
@@ -171,6 +172,15 @@ class TestComponentIdentities:
             reduction.lemma_suite(r),
         ):
             assert rep.max_residual() < 1e-12, rep.residuals
+
+    @pytest.mark.parametrize("name", ["su2xsu2", "su2xRxC"])
+    def test_model_report_passes_in_a_non_orthonormal_frame(self, name):
+        # the identities are frame-independent, so a sheared frame, whose
+        # horizontal projector is not symmetric, must pass every check
+        S = np.eye(6) + 0.05 * np.random.default_rng(20240823).standard_normal((6, 6))
+        rep = model_report(change_frame(catalog.build_model(name), S))
+        assert len(rep.residuals) == 38
+        assert rep.passes(1e-12), {k: v for k, v in rep.residuals.items() if v > 1e-12}
 
     def test_requires_six_dimensions(self, reduced):
         with pytest.raises(ValidationError):

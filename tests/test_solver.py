@@ -49,8 +49,6 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValidationError):
             SolverConfig(tolerance=2.0)
-        with pytest.raises(ValidationError):
-            SolverConfig(grid=8)
 
 
 def perturbed_surface(n=64, eps=1e-2, mode="odd", a=0.5):
@@ -59,6 +57,61 @@ def perturbed_surface(n=64, eps=1e-2, mode="odd", a=0.5):
         SphereProfile.round_perturbed(2.0, n, eps, mode),
         a,
     )
+
+
+def full_jacobian(s, fd_step):
+    """Dense (n+1)^2-row Jacobian assembled from the factor derivatives.
+
+    Column j of factor 1 is DA1[:, j] (x) 1 - 2 Dk1[:, j] (x) k2, and of
+    factor 2 is 1 (x) DA2[:, j] - 2 k1 (x) Dk2[:, j].
+    """
+    k1, k2 = toric.ricci_form_coeffs(s)
+    cols = []
+    if s.factor1.kind == "sphere":
+        DA, Dk = solver._factor_derivatives(s.factor1, fd_step)
+        cols += [np.kron(a, np.ones_like(k2)) - 2.0 * np.kron(b, k2) for a, b in zip(DA.T, Dk.T)]
+    if s.factor2.kind == "sphere":
+        DA, Dk = solver._factor_derivatives(s.factor2, fd_step)
+        cols += [np.kron(np.ones_like(k1), a) - 2.0 * np.kron(k1, b) for a, b in zip(DA.T, Dk.T)]
+    return np.column_stack(cols)
+
+
+def dense_step(s0, fd_step=1e-6):
+    """Reference step: one pde_residual per Jacobian column, then dense lstsq."""
+    x = solver._pack(s0)
+    r0 = solver._residual(s0, x)
+    J = np.empty((r0.size, x.size))
+    for k in range(x.size):
+        delta = fd_step * max(1.0, abs(x[k]))
+        xk = x.copy()
+        xk[k] += delta
+        J[:, k] = (solver._residual(s0, xk) - r0) / delta
+    p, *_ = np.linalg.lstsq(J, -r0, rcond=1e-10)
+    return p, r0
+
+
+class TestCompressedStep:
+    @pytest.mark.parametrize("flat2", [False, True], ids=["sphere-sphere", "sphere-flat"])
+    def test_matches_dense_reference(self, flat2):
+        c, n = 2.2, 64
+        f1 = SphereProfile.round_perturbed(c, n, 0.013)
+        f2 = SphereProfile.flat(c, n) if flat2 else f1
+        s0 = ProductSurface(f1, f2, 0.0 if flat2 else 1.0 / c)
+        s = solver._unpack(s0, solver._pack(s0))
+        p_dense, r0 = dense_step(s)
+        p = solver._gauss_newton_step(s, r0, 1e-6)
+        assert np.linalg.norm(p - p_dense) <= 1e-9 * np.linalg.norm(p_dense)
+
+        Q1, Q2 = (solver._span_basis(k) for k in toric.ricci_form_coeffs(s))
+        assert (Q1.shape[1], Q2.shape[1]) == ((2, 1) if flat2 else (2, 2))
+        Btr = solver._compress(r0.reshape(n + 1, -1), Q1, Q2)
+        assert abs(np.linalg.norm(Btr) - np.linalg.norm(r0)) <= 1e-12 * np.linalg.norm(r0)
+        BtJ = np.column_stack(
+            [solver._compress(col.reshape(n + 1, -1), Q1, Q2) for col in full_jacobian(s, 1e-6).T]
+        )
+        M = solver._jacobian(s, Q1, Q2, 1e-6)
+        assert M.shape == (Btr.size, p.size)
+        assert np.max(np.abs(M - BtJ)) <= 1e-12 * np.max(np.abs(BtJ))
 
 
 class TestGaussNewton:
@@ -89,16 +142,17 @@ class TestGaussNewton:
         assert all(b < a for a, b in zip(l2, l2[1:]))
 
     def test_jacobian_matches_directional_differences(self):
-        s = perturbed_surface(n=32)
-        x = solver._pack(s)
-        r0 = solver._residual(s, x)
-        J = solver._jacobian(s, x, r0, 1e-6)
+        s0 = perturbed_surface(n=32)
+        x = solver._pack(s0)
+        s = solver._unpack(s0, x)
+        r0 = solver._residual(s0, x)
+        J = full_jacobian(s, 1e-6)
         rng = np.random.default_rng(4)
         for _ in range(3):
             d = rng.standard_normal(x.size)
             d /= np.linalg.norm(d)
             t = 1e-6
-            dd = (solver._residual(s, x + t * d) - r0) / t
+            dd = (solver._residual(s0, x + t * d) - r0) / t
             rel = np.linalg.norm(J @ d - dd) / max(1.0, np.linalg.norm(dd))
             assert rel < 1e-4
 

@@ -36,6 +36,21 @@ class TestProfiles:
         with pytest.raises(ValidationError):
             SphereProfile(1.0, 32, theta)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SphereProfile.round(float("nan"), 32),
+            lambda: SphereProfile(float("inf"), 32, SphereProfile.round(1.0, 32).theta),
+            lambda: SphereProfile(1.0, 32, np.where(np.arange(33) == 5, np.nan, 1 - np.linspace(-1, 1, 33) ** 2)),
+            lambda: SphereProfile.flat(1.0, 32, float("nan")),
+            lambda: SphereProfile.flat(1.0, 32, float("inf")),
+        ],
+        ids=["nan-c", "inf-c", "nan-interior", "nan-flat", "inf-flat"],
+    )
+    def test_rejects_non_finite(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
     def test_flat_profile_constant(self):
         p = SphereProfile.flat(1.0, 32, 2.0)
         assert np.all(p.theta == 2.0)
