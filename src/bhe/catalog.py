@@ -155,11 +155,6 @@ def model_from_dict(d: dict) -> HermitianModel:
     )
 
 
-def catalog_to_json() -> str:
-    models = [model_to_dict(build_model(name)) for name in MODEL_NAMES]
-    return json.dumps({"models": models}, indent=1)
-
-
 _CATALOG_CACHE: dict[str, HermitianModel] | None = None
 
 

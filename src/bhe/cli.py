@@ -10,6 +10,10 @@ All outputs are deterministic: floats are printed with 17 significant
 digits in scientific notation, files are written atomically, and repeated
 runs produce byte-identical artifacts.  Exit codes: 0 pass, 1 tolerance
 failure, 2 invalid input.
+
+``residual.csv`` holds a header plus (n+1)^2 rows ``z1,z2,E`` in z1-major
+order (a flat-torus factor has n nodes, not n+1).  It is streamed one grid
+row at a time, so writing it takes O(n) extra memory.
 """
 
 from __future__ import annotations
@@ -87,13 +91,22 @@ def _to_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def write_atomic(path: str, text: str) -> None:
+def write_atomic(path: str, chunks) -> None:
+    """Write ``chunks`` (one string, or an iterable of strings) to ``path``.
+
+    The chunks are streamed into a temporary file in the same directory,
+    which replaces ``path`` only after the last chunk is written.  If
+    anything raises on the way, the temporary file is removed and ``path``
+    keeps its old contents.
+    """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -105,19 +118,32 @@ def write_json(path: str, obj) -> None:
     write_atomic(path, _to_json(obj) + "\n")
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(f"{float(v):.16e}")
-            elif v is None:
-                cells.append("")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    write_atomic(path, "\n".join(lines) + "\n")
+def format_row(row: tuple) -> str:
+    """One CSV line: floats as ``%.16e``, ``None`` as an empty cell, else ``str``."""
+    cells = []
+    for v in row:
+        if isinstance(v, (float, np.floating)):
+            cells.append(f"{float(v):.16e}")
+        elif v is None:
+            cells.append("")
+        else:
+            cells.append(str(v))
+    return ",".join(cells) + "\n"
+
+
+def write_csv(path: str, header: list[str], lines) -> None:
+    """Write the ``header`` line, then the text chunks of ``lines``, atomically.
+
+    Each chunk holds whole lines that end in a newline: one ``format_row``
+    line, or a block such as one grid row of ``_residual_lines``.  Chunks
+    are streamed to the file as they come, never joined into one string.
+    """
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        yield from lines
+
+    write_atomic(path, chunks())
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +194,7 @@ def _surface_config(path: str, command: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     known = {
-        "c1", "c2", "kind1", "kind2", "a", "n", "tolerance",
+        "c1", "c2", "kind1", "kind2", "a", "n",
         "perturb_eps", "perturb_mode", "solver_tol", "max_iterations",
     }
     bad = set(raw) - known
@@ -295,12 +321,18 @@ def _surface_rows(s: toric.ProductSurface) -> list[tuple]:
     return rows
 
 
-def _residual_rows(field: toric.PdeResidualField) -> list[tuple]:
-    rows = []
-    for i, z1 in enumerate(field.z1):
-        for j, z2 in enumerate(field.z2):
-            rows.append((float(z1), float(z2), float(field.E[i, j])))
-    return rows
+def _residual_lines(field: toric.PdeResidualField):
+    """``z1,z2,E`` lines in z1-major order, one chunk per z1 node.
+
+    Each node is formatted once and each grid row's E values by a single
+    ``%`` call, so the text equals ``format_row`` on every (z1, z2, E)
+    while the extra memory stays one grid row.
+    """
+    z2_cells = ["%.16e,%%.16e" % z for z in field.z2.tolist()]
+    for i, z1 in enumerate(field.z1.tolist()):
+        head = "%.16e," % z1
+        template = head + ("\n" + head).join(z2_cells) + "\n"
+        yield template % tuple(field.E[i].tolist())
 
 
 def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> toric.PdeResidualField:
@@ -308,9 +340,9 @@ def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> toric.P
     write_csv(
         os.path.join(cfg.out, "surface.csv"),
         ["z", "Theta1", "Theta2", "kappa1", "kappa2"],
-        _surface_rows(s),
+        map(format_row, _surface_rows(s)),
     )
-    write_csv(os.path.join(cfg.out, "residual.csv"), ["z1", "z2", "E"], _residual_rows(field))
+    write_csv(os.path.join(cfg.out, "residual.csv"), ["z1", "z2", "E"], _residual_lines(field))
     return field
 
 
@@ -374,7 +406,7 @@ def run_pde_solve(cfg: RunConfig) -> int:
     write_csv(
         os.path.join(cfg.out, "history.csv"),
         ["iteration", "residual", "step"],
-        trace.history_rows(),
+        map(format_row, trace.history_rows()),
     )
     return EXIT_PASS if trace.flag in ("converged", "at-floor") else EXIT_FAIL
 
@@ -425,7 +457,7 @@ def run_converge(cfg: RunConfig) -> int:
     write_csv(
         os.path.join(cfg.out, "orders.csv"),
         ["n", "residual_sup", "kappa_error", "manufactured_error"],
-        rows,
+        map(format_row, rows),
     )
     return EXIT_PASS if ok else EXIT_FAIL
 

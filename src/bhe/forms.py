@@ -69,13 +69,6 @@ class FormTensor:
         shape = () if degree == 0 else (dim,) * degree
         return FormTensor(degree, dim, np.zeros(shape))
 
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "FormTensor":
-        arr = np.asarray(arr, dtype=float)
-        k = arr.ndim
-        dim = arr.shape[0] if k else 0
-        return FormTensor(k, dim, arr)
-
     def __add__(self, other: "FormTensor") -> "FormTensor":
         self._check_compatible(other)
         return FormTensor(self.degree, self.dim, self.components + other.components)

@@ -3,9 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from bhe.cli import main
+from bhe import toric
+from bhe.cli import format_row, main, write_atomic, write_csv
 
 
 def read(path):
@@ -110,6 +112,20 @@ class TestPde:
         assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["pde", "residual"], ["pde", "solve"], ["converge"]], ids=lambda c: "-".join(c)
+)
+def test_tolerance_key_rejected(tmp_path, capsys, command):
+    # Only verify/reduce read a tolerance (--tol); in a surface config it is
+    # an unknown key, not one silently ignored.
+    cfg = write_config(tmp_path, tolerance=1e-6)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bhe: invalid input: unknown config keys: ['tolerance']")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 class TestConverge:
     def test_orders_reported(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -141,3 +157,108 @@ class TestDeterminism:
         main(["verify", "--model", "su2xsu2", "--out", str(out)])
         text = read(out / "report.json").decode()
         assert "1.0000000000000000e-10" in text
+
+
+def reference_csv(header, rows):
+    """The per-cell CSV text every artifact had before rows were streamed."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, (float, np.floating)):
+                cells.append(f"{float(v):.16e}")
+            elif v is None:
+                cells.append("")
+            else:
+                cells.append(str(v))
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestCsvWriter:
+    def test_cells_match_reference(self, tmp_path):
+        rows = [
+            (float("nan"), float("inf"), float("-inf"), -0.0),
+            (5e-324, 1e300, np.float64(-1.0 / 3.0), np.float32(0.1)),
+            (0, 7, None, -12),
+            (None, None, np.float64("nan"), 2.5e-17),
+        ]
+        path = tmp_path / "cells.csv"
+        write_csv(str(path), ["a", "b", "c", "d"], map(format_row, rows))
+        assert read(path) == reference_csv(["a", "b", "c", "d"], rows)
+
+    @pytest.mark.parametrize(
+        "body, factors",
+        [
+            (
+                {"a": 0.5, "perturb_eps": 0.01},
+                lambda: [toric.SphereProfile.round_perturbed(2.0, 32, 0.01)] * 2,
+            ),
+            (
+                {"c1": 1.0, "c2": 1.0, "kind2": "flat-torus", "a": 0.0, "perturb_eps": 0.01},
+                lambda: [toric.SphereProfile.round_perturbed(1.0, 32, 0.01),
+                         toric.SphereProfile.flat(1.0, 32)],
+            ),
+        ],
+        ids=["sphere-x-sphere-perturbed", "sphere-x-flat"],
+    )
+    def test_residual_csv_matches_reference(self, tmp_path, body, factors):
+        cfg = write_config(tmp_path, n=32, **body)
+        out = tmp_path / "res"
+        assert main(["pde", "residual", "--config", cfg, "--out", str(out)]) == 0
+        field = toric.pde_residual(toric.ProductSurface(*factors(), body["a"]))
+        rows = [
+            (float(z1), float(z2), float(field.E[i, j]))
+            for i, z1 in enumerate(field.z1)
+            for j, z2 in enumerate(field.z2)
+        ]
+        assert read(out / "residual.csv") == reference_csv(["z1", "z2", "E"], rows)
+
+
+class TestAtomicWrite:
+    def test_failing_stream_keeps_old_file(self, tmp_path):
+        path = tmp_path / "residual.csv"
+        path.write_bytes(b"z1,z2,E\nold\n")
+
+        def chunks():
+            yield "1.0,2.0,3.0\n" * 1000
+            yield "4.0,5.0,6.0\n" * 1000
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(str(path), ["z1", "z2", "E"], chunks())
+        assert read(path) == b"z1,z2,E\nold\n"
+        assert sorted(os.listdir(tmp_path)) == ["residual.csv"]
+
+    def test_failing_stream_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "partial\n"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(str(tmp_path / "out" / "new.csv"), chunks())
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_bare_string_written_whole(self, tmp_path, monkeypatch):
+        writes = []
+
+        class Recorder:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    writes.append(chunk)
+                    self.fh.write(chunk)
+
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda *a, **k: Recorder(fdopen(*a, **k)))
+        write_atomic(str(tmp_path / "a.json"), "{}\n")
+        assert writes == ["{}\n"]
+        assert read(tmp_path / "a.json") == b"{}\n"

@@ -44,9 +44,12 @@ def test_numpy_fallback_env_flag():
         "T = np.arange(16.0).reshape(4,4);"
         "print(float(K.alt_sum(T)[1,2]))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=os.environ.copy()
-    )
+    # The child imports the same bhe as this process, also when pytest put
+    # src/ on sys.path itself rather than through PYTHONPATH.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(K.__file__)))
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     T = np.arange(16.0).reshape(4, 4)
     assert float(out.stdout.strip()) == float(K.alt_sum(T)[1, 2])
