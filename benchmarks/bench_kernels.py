@@ -1,8 +1,7 @@
-"""Timing comparison of the jitted kernels against the numpy fallbacks.
+"""Timings of the numpy kernels and of one full model report.
 
 Usage:
-    python benchmarks/bench_kernels.py            # numba path + numpy fallback
-    BHE_DISABLE_NUMBA=1 python benchmarks/bench_kernels.py   # numpy only
+    python benchmarks/bench_kernels.py
 
 The workloads are the two inner loops that dominate the frame algebra:
 antisymmetrization of full index arrays (wedge products, alternation
@@ -18,7 +17,7 @@ from bhe.catalog import build_model
 
 
 def timeit(fn, *args, repeats=30):
-    fn(*args)  # warm-up / compile
+    fn(*args)  # warm-up
     t0 = time.perf_counter()
     for _ in range(repeats):
         fn(*args)
@@ -27,35 +26,28 @@ def timeit(fn, *args, repeats=30):
 
 def main():
     rng = np.random.default_rng(0)
-    print(f"active path: {'numba' if K.USING_NUMBA else 'numpy'}")
-    print()
-    print(f"{'workload':<38}{'active':>12}{'numpy':>12}{'ratio':>8}")
+    print(f"{'workload':<38}{'time':>12}")
     rows = []
 
     for m in (3, 4, 5, 6):
         T = rng.standard_normal((6,) * m)
-        perms, signs = K.perm_table(m)
-        t_active = timeit(K.alt_sum, T)
-        t_numpy = timeit(K._alt_sum_numpy, T, perms, signs)
-        rows.append((f"alt_sum dim 6 degree {m}", t_active, t_numpy))
+        rows.append((f"alt_sum dim 6 degree {m}", timeit(K.alt_sum, T)))
 
     c = build_model("su2xsu2").algebra.c
     for k in (2, 3, 4):
         b = K.alt_sum(rng.standard_normal((6,) * k)) / K.factorial(k)
-        t_active = timeit(K.dform_core, c, b, k)
-        t_numpy = timeit(K._dform_numpy, c, b, k)
-        rows.append((f"exterior derivative degree {k}", t_active, t_numpy))
+        rows.append((f"exterior derivative degree {k}", timeit(K.dform_core, c, b, k)))
 
-    for name, ta, tn in rows:
-        print(f"{name:<38}{ta * 1e6:>10.1f}us{tn * 1e6:>10.1f}us{tn / ta:>8.2f}")
+    for name, t in rows:
+        print(f"{name:<38}{t * 1e6:>10.1f}us")
 
     print()
     print("end-to-end: full identity report on the six-dimensional models")
     from bhe.cli import model_report
 
     for model in ("su2xsu2", "su2xRxC"):
-        m = build_model(model)
-        t = timeit(lambda: model_report(m), repeats=3)
+        # a fresh model per repeat, so its cached geometry is rebuilt each time
+        t = timeit(lambda: model_report(build_model(model)), repeats=3)
         print(f"  model_report({model}): {t * 1e3:.1f} ms")
 
 

@@ -1,36 +1,17 @@
-"""Hot numeric kernels, with numba-jitted and pure-numpy variants.
+"""Hot numeric kernels, in numpy.
 
 The frame algebra spends nearly all of its time antisymmetrizing index
 arrays (wedge products, alternation checks) and expanding invariant
-exterior derivatives from structure constants.  Both kernels ship in two
-equivalent implementations:
-
-* a numba ``@njit`` version (default when numba imports cleanly), and
-* a pure-numpy version, selected by setting ``BHE_DISABLE_NUMBA=1``.
-
-``benchmarks/bench_kernels.py`` times one against the other.
+exterior derivatives from structure constants.  ``benchmarks/bench_kernels.py``
+times both kernels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 
 import numpy as np
-
-_DISABLE = os.environ.get("BHE_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled via BHE_DISABLE_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    njit = None
-    USING_NUMBA = False
-
 
 _PERM_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -49,121 +30,35 @@ def perm_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _PERM_CACHE[m]
 
 
-def _alt_sum_numpy(T: np.ndarray, perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(T)
-    for p, s in zip(perms, signs):
-        out += s * np.transpose(T, axes=tuple(p))
-    return out
-
-
-def _dform_numpy(c: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    # db(X_0..X_k) = sum_{s<t} (-1)^{s+t} b([X_s, X_t], X_0..^s..^t..X_k)
-    n = c.shape[0]
-    out = np.zeros((n,) * (k + 1))
-    for s in range(k + 1):
-        for t in range(s + 1, k + 1):
-            term = np.einsum("abm,m...->ab...", c, b)
-            # place axes (a, b) at slots (s, t), remaining axes keep order
-            term = np.moveaxis(term, (0, 1), (s, t))
-            out += ((-1) ** (s + t)) * term
-    return out
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _alt_sum_jit(T_flat, n, m, perms, signs):  # pragma: no cover - jitted
-        size = T_flat.size
-        out = np.zeros(size)
-        stride = np.empty(m, np.int64)
-        stride[m - 1] = 1
-        for a in range(m - 2, -1, -1):
-            stride[a] = stride[a + 1] * n
-        idx = np.empty(m, np.int64)
-        for flat in range(size):
-            r = flat
-            for a in range(m):
-                idx[a] = r // stride[a]
-                r -= idx[a] * stride[a]
-            acc = 0.0
-            for p in range(perms.shape[0]):
-                src = 0
-                for a in range(m):
-                    src += idx[perms[p, a]] * stride[a]
-                acc += signs[p] * T_flat[src]
-            out[flat] = acc
-        return out
-
-    @njit(cache=True)
-    def _dform_jit(c, b_flat, n, k):  # pragma: no cover - jitted
-        m = k + 1
-        stride = np.empty(m, np.int64)
-        stride[m - 1] = 1
-        for a in range(m - 2, -1, -1):
-            stride[a] = stride[a + 1] * n
-        bstride = np.empty(max(k, 1), np.int64)
-        if k > 0:
-            bstride[k - 1] = 1
-            for a in range(k - 2, -1, -1):
-                bstride[a] = bstride[a + 1] * n
-        size = n**m
-        out = np.zeros(size)
-        idx = np.empty(m, np.int64)
-        rest = np.empty(max(k - 1, 1), np.int64)
-        for flat in range(size):
-            r = flat
-            for a in range(m):
-                idx[a] = r // stride[a]
-                r -= idx[a] * stride[a]
-            acc = 0.0
-            for s in range(m):
-                for t in range(s + 1, m):
-                    q = 0
-                    for a in range(m):
-                        if a != s and a != t:
-                            rest[q] = idx[a]
-                            q += 1
-                    sign = 1.0 if (s + t) % 2 == 0 else -1.0
-                    for mm in range(n):
-                        cval = c[idx[s], idx[t], mm]
-                        if cval != 0.0:
-                            src = mm * bstride[0] if k > 1 else mm
-                            for a in range(k - 1):
-                                src += rest[a] * bstride[a + 1]
-                            acc += sign * cval * b_flat[src]
-            out[flat] = acc
-        return out
-
-
 def alt_sum(T: np.ndarray) -> np.ndarray:
     """Signed sum over all permutations of the axes of T (no 1/m! factor)."""
     m = T.ndim
     if m <= 1:
         return T.copy()
     perms, signs = perm_table(m)
-    # measured crossover: the gather loop wins below degree 4, bulk strided
-    # transposes win above (see benchmarks/bench_kernels.py)
-    if USING_NUMBA and m <= 3:
-        n = T.shape[0]
-        flat = np.ascontiguousarray(T).ravel()
-        return _alt_sum_jit(flat, n, m, perms, signs).reshape(T.shape)
-    return _alt_sum_numpy(T, perms, signs)
+    out = np.zeros_like(T)
+    for p, s in zip(perms, signs):
+        out += s * np.transpose(T, axes=tuple(p))
+    return out
 
 
 def dform_core(c: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """Invariant exterior derivative of a constant-coefficient k-form.
 
     c holds structure constants c[i,j,m] of [e_i, e_j] = c[i,j,m] e_m; the
-    directional terms drop for invariant data, leaving only bracket terms.
+    directional terms drop for invariant data, leaving only bracket terms:
+    db(X_0..X_k) = sum_{s<t} (-1)^{s+t} b([X_s, X_t], X_0..^s..^t..X_k).
     """
+    n = c.shape[0]
     if k == 0:
-        return np.zeros(c.shape[0])
-    if USING_NUMBA and k <= 2:  # same crossover story as alt_sum
-        n = c.shape[0]
-        flat = np.ascontiguousarray(b).ravel()
-        out = _dform_jit(np.ascontiguousarray(c), flat, n, k)
-        return out.reshape((n,) * (k + 1))
-    return _dform_numpy(c, b, k)
+        return np.zeros(n)
+    out = np.zeros((n,) * (k + 1))
+    bracket = np.einsum("abm,m...->ab...", c, b)  # b([e_a, e_b], ...)
+    for s in range(k + 1):
+        for t in range(s + 1, k + 1):
+            # place axes (a, b) at slots (s, t), remaining axes keep order
+            out += ((-1) ** (s + t)) * np.moveaxis(bracket, (0, 1), (s, t))
+    return out
 
 
 def factorial(m: int) -> int:

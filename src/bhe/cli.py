@@ -35,13 +35,9 @@ from .frame_geometry import (
     KahlerInputError,
     ValidationError,
     bhe_residual,
-    bismut_connection,
-    bismut_torsion,
     covariant_derivative,
     exterior_derivative,
     gauduchon_residual,
-    lee_form_both,
-    lee_vector,
     nijenhuis,
     verify_lrho,
 )
@@ -229,13 +225,14 @@ def model_report(m: HermitianModel) -> Report:
     rep = Report(m.name)
     rep.record("jacobi_identity", m.algebra.jacobi_residual())
     rep.record("complex_structure_integrable", float(np.max(np.abs(nijenhuis(m.algebra, m.J)))))
-    t1, t2 = lee_form_both(m)
+    geo = m.geometry
+    t1, t2 = geo.lee_pair
     rep.record("lee_form_agreement", (t1 - t2).sup_norm())
     rep.record("bismut_ricci_flat", bhe_residual(m))
-    H = bismut_torsion(m)
+    H = geo.H
     dH = exterior_derivative(H, m.algebra)
     rep.record("pluriclosed", dH.sup_norm())
-    gb = bismut_connection(m)
+    gb = geo.bismut
     rep.record("bismut_parallel_torsion", float(np.max(np.abs(covariant_derivative(H.components, gb)))))
     V = m.sharp(t1)
     eta = m.metric.g @ V

@@ -204,6 +204,21 @@ def j_conjugate(b: FormTensor, J: np.ndarray) -> FormTensor:
     return FormTensor(b.degree, b.dim, comp)
 
 
+def pullback(T: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """Contract every slot of T with a vector or an n x k frame, slot by slot.
+
+    pullback(T, u, E) is T(u, E.) = einsum("ab,a,bi->i", T, u, E): a vector
+    slot is consumed, a frame slot leaves one output axis, and the output
+    axes follow the order of the frame factors.
+    """
+    out = np.asarray(T)
+    if len(factors) != out.ndim:
+        raise ValueError(f"{out.ndim}-slot tensor needs {out.ndim} factors, got {len(factors)}")
+    for F in factors:
+        out = np.tensordot(out, F, axes=([0], [0]))
+    return out
+
+
 def omega_trace(b: FormTensor, omega: FormTensor, g: MetricFrame) -> float | FormTensor:
     """Trace over the first two slots against omega, full double-sum.
 

@@ -20,7 +20,9 @@ Sign conventions:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +67,7 @@ class StructureAlgebra:
         if skew > 1e-12 * max(1.0, np.max(np.abs(c))):
             raise ValidationError(f"structure constants not antisymmetric (defect {skew:.3e})")
         jac = self.jacobi_residual()
-        if jac > 1e-14 * max(1.0, np.max(np.abs(c)) ** 2):
+        if jac > 1e-12 * max(1.0, np.max(np.abs(c)) ** 2):
             raise ValidationError(f"Jacobi identity fails (residual {jac:.3e})")
 
     @property
@@ -122,6 +124,11 @@ class HermitianModel:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def geometry(self) -> "Geometry":
+        """This model's shared geometry; each object in it is computed once."""
+        return Geometry(self)
 
     def kahler_form(self) -> FormTensor:
         """omega(X, Y) = g(JX, Y)."""
@@ -236,14 +243,12 @@ def levi_civita(m: HermitianModel) -> ConnectionCoeffs:
 
 def bismut_torsion(m: HermitianModel) -> FormTensor:
     """H = d omega pulled back through (J, J, J); vanishes exactly on Kahler input."""
-    domega = exterior_derivative(m.kahler_form(), m.algebra)
-    return j_conjugate(domega, m.J)
+    return j_conjugate(m.geometry.domega, m.J)
 
 
 def bismut_connection(m: HermitianModel) -> ConnectionCoeffs:
-    H = bismut_torsion(m)
-    lc = levi_civita(m)
-    return ConnectionCoeffs(lc.gamma + 0.5 * H.components, m.metric, "bismut")
+    geo = m.geometry
+    return ConnectionCoeffs(geo.lc.gamma + 0.5 * geo.H.components, m.metric, "bismut")
 
 
 def curvature(conn: ConnectionCoeffs, algebra: StructureAlgebra) -> CurvatureTensor:
@@ -262,7 +267,7 @@ def ricci_tensor(curv: CurvatureTensor, g: MetricFrame) -> np.ndarray:
 
 def bismut_ricci_form(m: HermitianModel) -> FormTensor:
     """rho_B(X,Y) = (1/2) <R^B(X,Y) J eps_i, eps_i> over an orthonormal frame."""
-    RB = curvature(bismut_connection(m), m.algebra)
+    RB = m.geometry.bismut_curvature
     comp = 0.5 * np.einsum("abcd,cm,md->ab", RB.R, m.J, m.metric.inv)
     return FormTensor(2, m.dim, comp)
 
@@ -278,17 +283,16 @@ def bhe_residual(m: HermitianModel) -> float:
 
 def lee_form_both(m: HermitianModel) -> tuple[FormTensor, FormTensor]:
     """The Lee form by trace of d omega and by -d* omega o J, independently."""
-    omega = m.kahler_form()
-    domega = exterior_derivative(omega, m.algebra)
-    theta_tr = 0.5 * omega_trace(domega, omega, m.metric)
-    dstar = codifferential(omega, levi_civita(m))
+    geo = m.geometry
+    theta_tr = 0.5 * omega_trace(geo.domega, geo.omega, m.metric)
+    dstar = codifferential(geo.omega, geo.lc)
     theta_cod = FormTensor(1, m.dim, -np.einsum("c,ca->a", dstar.components, m.J))
     return theta_tr, theta_cod
 
 
 def lee_form(m: HermitianModel) -> FormTensor:
     """Lee form; errors if the two defining formulas disagree."""
-    theta_tr, theta_cod = lee_form_both(m)
+    theta_tr, theta_cod = m.geometry.lee_pair
     gap = (theta_tr - theta_cod).sup_norm()
     if gap > 1e-12 * max(1.0, theta_tr.sup_norm()):
         raise ValidationError(f"Lee form formulas disagree (gap {gap:.3e})")
@@ -303,7 +307,7 @@ def lee_vector(m: HermitianModel) -> np.ndarray:
 def gauduchon_residual(m: HermitianModel) -> float:
     """|d* theta|; zero exactly when the model is Gauduchon."""
     theta = lee_form(m)
-    dstar = codifferential(theta, levi_civita(m))
+    dstar = codifferential(theta, m.geometry.lc)
     return float(abs(dstar.components))
 
 
@@ -319,7 +323,8 @@ def verify_lrho(m: HermitianModel, pluriclosed_tol: float = 1e-10) -> Report:
     part against -d*H/2 + d theta/2 - i_theta# H / 2, every ingredient
     computed from an independent code path.
     """
-    H = bismut_torsion(m)
+    geo = m.geometry
+    H = geo.H
     dH = exterior_derivative(H, m.algebra)
     scale = max(1.0, H.sup_norm())
     if dH.sup_norm() > pluriclosed_tol * scale:
@@ -327,9 +332,9 @@ def verify_lrho(m: HermitianModel, pluriclosed_tol: float = 1e-10) -> Report:
             f"model is not pluriclosed (|dH| = {dH.sup_norm():.3e}); identity undefined"
         )
     theta = lee_form(m)
-    theta_sharp = m.sharp(theta)
-    lc = levi_civita(m)
-    Rc = ricci_tensor(curvature(lc, m.algebra), m.metric)
+    theta_sharp = geo.V
+    lc = geo.lc
+    Rc = ricci_tensor(geo.lc_curvature, m.metric)
     rho = bismut_ricci_form(m)
     rho11, rho20 = type_decompose(rho, m.J)
 
@@ -346,6 +351,85 @@ def verify_lrho(m: HermitianModel, pluriclosed_tol: float = 1e-10) -> Report:
     rep.record("ricci_form_symmetric_part", np.max(np.abs(lhs_sym - rhs_sym)))
     rep.record("ricci_form_skew_part", np.max(np.abs(lhs_skew - rhs_skew)))
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the shared per-model geometry
+# ---------------------------------------------------------------------------
+
+
+def _read_only(obj):
+    """Mark every array held by a cached object read-only; returns obj."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _read_only(item)
+    else:
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return obj
+
+
+class Geometry:
+    """The geometric objects of one model, each computed on first use.
+
+    Reached as ``m.geometry``, so every check on a model shares one
+    Levi-Civita connection, one torsion, one curvature per connection and so
+    on.  Each member calls its module-level function once; the cached
+    arrays are read-only, so a mutation fails instead of leaking into later
+    checks.
+    """
+
+    def __init__(self, model: HermitianModel):
+        # The model owns its geometry.  A weak reference back keeps the pair
+        # out of a reference cycle, so both are freed with the model instead
+        # of waiting for the cycle collector.
+        self._model = weakref.ref(model)
+
+    @property
+    def model(self) -> HermitianModel:
+        m = self._model()
+        if m is None:
+            raise ReferenceError("the model of this Geometry no longer exists")
+        return m
+
+    @cached_property
+    def omega(self) -> FormTensor:
+        return _read_only(self.model.kahler_form())
+
+    @cached_property
+    def domega(self) -> FormTensor:
+        return _read_only(exterior_derivative(self.omega, self.model.algebra))
+
+    @cached_property
+    def H(self) -> FormTensor:
+        return _read_only(bismut_torsion(self.model))
+
+    @cached_property
+    def lc(self) -> ConnectionCoeffs:
+        return _read_only(levi_civita(self.model))
+
+    @cached_property
+    def bismut(self) -> ConnectionCoeffs:
+        return _read_only(bismut_connection(self.model))
+
+    @cached_property
+    def lc_curvature(self) -> CurvatureTensor:
+        return _read_only(curvature(self.lc, self.model.algebra))
+
+    @cached_property
+    def bismut_curvature(self) -> CurvatureTensor:
+        return _read_only(curvature(self.bismut, self.model.algebra))
+
+    @cached_property
+    def lee_pair(self) -> tuple[FormTensor, FormTensor]:
+        return _read_only(lee_form_both(self.model))
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return _read_only(lee_vector(self.model))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +466,7 @@ __all__ = [
     "KahlerInputError",
     "StructureAlgebra",
     "HermitianModel",
+    "Geometry",
     "ConnectionCoeffs",
     "CurvatureTensor",
     "nijenhuis",

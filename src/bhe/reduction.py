@@ -16,11 +16,18 @@ with v the vertical part of the bracket; this is the classical O'Neill
 correction in our curvature sign convention (it has all curvature
 symmetries, satisfies the first Bianchi identity, and reduces to
 K_base = K_total + (3/4)|v[X,Y]|^2 on sections).
+
+The suites share the parent's cached geometry (``r.parent.geometry``): the
+Levi-Civita and Bismut connections, their curvatures and the torsion are
+computed once per model, and the transverse curvature and connection once
+per reduction (``r.R_T``, ``r.gamma_T``).  Restrictions of parent tensors to
+the adapted frame contract one slot at a time (``forms.pullback``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +37,7 @@ from .forms import (
     interior_product,
     j_conjugate,
     norm2,
+    pullback,
     type_decompose,
     wedge,
 )
@@ -39,16 +47,12 @@ from .frame_geometry import (
     KahlerInputError,
     StructureAlgebra,
     ValidationError,
+    _read_only,
     bhe_residual,
-    bismut_connection,
-    bismut_torsion,
     change_frame,
     covariant_derivative,
-    curvature,
     exterior_derivative,
     lee_form,
-    lee_vector,
-    levi_civita,
     scale_metric,
 )
 from .report import Report
@@ -83,6 +87,16 @@ class ReductionData:
     @property
     def hdim(self) -> int:
         return self.horizontal.shape[1]
+
+    @cached_property
+    def R_T(self) -> np.ndarray:
+        """Transverse curvature, computed once (see transverse_curvature)."""
+        return _read_only(transverse_curvature(self))
+
+    @cached_property
+    def gamma_T(self) -> np.ndarray:
+        """Transverse connection, computed once (see transverse_connection)."""
+        return _read_only(transverse_connection(self))
 
     def restrict2(self, b: FormTensor) -> np.ndarray:
         """Components of a parent 2-form in the horizontal orthonormal frame."""
@@ -152,26 +166,26 @@ def reduce(m: HermitianModel, bhe_tol: float = 1e-10) -> ReductionData:
     res = bhe_residual(m)
     if res > bhe_tol:
         raise ValidationError(f"model is not BHE (|rho_B| = {res:.3e} > {bhe_tol:.1e})")
-    V0 = lee_vector(m)
+    V0 = m.geometry.V
     nrm2 = float(V0 @ m.metric.g @ V0)
     if nrm2 < 1e-12:
         raise KahlerInputError("V vanishes: the model is Kahler Calabi-Yau")
     if abs(nrm2 - 1.0) > 1e-13:
         m = scale_metric(m, nrm2)
     g = m.metric.g
-    theta = lee_form(m)
-    V = m.sharp(theta)  # f constant on invariant frames, so V = theta#
+    geo = m.geometry
+    V = geo.V  # f constant on invariant frames, so V = theta#
     JV = m.J @ V
     eta = FormTensor(1, m.dim, g @ V)
     Jeta = FormTensor(1, m.dim, g @ JV)
 
     F_V = exterior_derivative(eta, m.algebra)
     F_JV = exterior_derivative(Jeta, m.algebra)
-    omega = m.kahler_form()
+    omega = geo.omega
     omega_V = wedge(eta, Jeta)
     omega_T = omega - omega_V
 
-    H = bismut_torsion(m)
+    H = geo.H
     P = np.eye(m.dim) - np.outer(V, eta.components) - np.outer(JV, Jeta.components)
     H_T = j_conjugate(H, P)  # pullback through the horizontal projector
     g_T = g - np.outer(eta.components, eta.components) - np.outer(
@@ -212,7 +226,7 @@ def reduce(m: HermitianModel, bhe_tol: float = 1e-10) -> ReductionData:
 def torsion_split_residual(r: ReductionData) -> Report:
     """H = H^T + (J F_V) ^ eta + (J F_JV) ^ Jeta, checked componentwise."""
     m = r.parent
-    H = bismut_torsion(m)
+    H = m.geometry.H
     JF_V = j_conjugate(r.F_V, m.J)
     JF_JV = j_conjugate(r.F_JV, m.J)
     recon = r.H_T + wedge(JF_V, r.eta) + wedge(JF_JV, r.Jeta)
@@ -262,10 +276,9 @@ def _vertical_bracket_products(r: ReductionData) -> np.ndarray:
 
 def transverse_curvature(r: ReductionData) -> np.ndarray:
     """R^T in the horizontal orthonormal frame via the submersion correction."""
-    m = r.parent
-    RM = curvature(levi_civita(m), m.algebra).R
+    RM = r.parent.geometry.lc_curvature.R
     E = r.horizontal
-    RMh = np.einsum("abcd,ai,bj,ck,dl->ijkl", RM, E, E, E, E)
+    RMh = pullback(RM, E, E, E, E)
     Q = _vertical_bracket_products(r)
     return (
         RMh
@@ -277,9 +290,8 @@ def transverse_curvature(r: ReductionData) -> np.ndarray:
 
 def transverse_connection(r: ReductionData) -> np.ndarray:
     """Levi-Civita coefficients of g^T in the horizontal orthonormal frame."""
-    lc = levi_civita(r.parent)
     E = r.horizontal
-    return np.einsum("abc,ai,bj,ck->ijk", lc.gamma, E, E, E)
+    return np.einsum("abc,ai,bj,ck->ijk", r.parent.geometry.lc.gamma, E, E, E)
 
 
 def _transverse_covariant(gammaT: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -304,7 +316,7 @@ def einstein_maxwell_residual(r: ReductionData, frame_samples: int = 6) -> Repor
     """The twisted Einstein-Maxwell system of the transverse geometry."""
     m = r.parent
     rep = Report("einstein_maxwell")
-    RT = transverse_curvature(r)
+    RT = r.R_T
     RcT = np.einsum("ijki->jk", RT)
     ht = r.restrict3(r.H_T)
     fv = r.restrict2(r.F_V)
@@ -319,7 +331,7 @@ def einstein_maxwell_residual(r: ReductionData, frame_samples: int = 6) -> Repor
     rep.record("principal_closed_V", exterior_derivative(r.F_V, m.algebra).sup_norm())
     rep.record("principal_closed_JV", exterior_derivative(r.F_JV, m.algebra).sup_norm())
 
-    gammaT = transverse_connection(r)
+    gammaT = r.gamma_T
     for label, F in (("V", fv), ("JV", fjv)):
         nab = _transverse_covariant(gammaT, F)
         dstar = -np.einsum("aab->b", nab)
@@ -353,11 +365,10 @@ def lemma_suite(r: ReductionData) -> Report:
         raise ValidationError("component identity suite requires a six-dimensional model")
     rep = Report("component_identities")
     E, V, JV = r.horizontal, r.V, r.JV
-    lc = levi_civita(m)
-    gb = bismut_connection(m)
-    RM = curvature(lc, m.algebra).R
-    RB = curvature(gb, m.algebra).R
-    H = bismut_torsion(m)
+    geo = m.geometry
+    lc, gb = geo.lc, geo.bismut
+    RM, RB = geo.lc_curvature.R, geo.bismut_curvature.R
+    H = geo.H
     fv, fjv = r.restrict2(r.F_V), r.restrict2(r.F_JV)
     ht = r.restrict3(r.H_T)
 
@@ -377,9 +388,9 @@ def lemma_suite(r: ReductionData) -> Report:
         rep.record(f"vertical_christoffel_{label}", np.max(np.abs(lhs - F)))
 
     # horizontal block of the Bismut curvature
-    RBh = np.einsum("abcd,ai,bj,ck,dl->ijkl", RB, E, E, E, E)
-    RT = transverse_curvature(r)
-    gammaT = transverse_connection(r)
+    RBh = pullback(RB, E, E, E, E)
+    RT = r.R_T
+    gammaT = r.gamma_T
     nab_ht = _transverse_covariant(gammaT, ht)
     ht_terms = (
         nab_ht
@@ -402,7 +413,7 @@ def lemma_suite(r: ReductionData) -> Report:
 
     # mixed block: R^B(V, X, Y, Z) = -(nabla^B_X F_V)(Y, Z)
     for label, vert, F in (("V", V, r.F_V), ("JV", JV, r.F_JV)):
-        lhs = np.einsum("abcd,a,bi,cj,dk->ijk", RB, vert, E, E, E)
+        lhs = pullback(RB, vert, E, E, E)
         nabF = covariant_derivative(F.components, gb)
         rhs = -np.einsum("abc,ai,bj,ck->ijk", nabF, E, E, E)
         rep.record(f"curvature_mixed_block_{label}", np.max(np.abs(lhs - rhs)))
@@ -410,24 +421,24 @@ def lemma_suite(r: ReductionData) -> Report:
     # torsion covariant-derivative components (Levi-Civita connection)
     nabH = covariant_derivative(H.components, lc)
     for label, vert, F in (("V", V, r.F_V), ("JV", JV, r.F_JV)):
-        lhs = np.einsum("abcd,ai,b,cj,dk->ijk", nabH, E, vert, E, E)
+        lhs = pullback(nabH, E, vert, E, E)
         nabF = covariant_derivative(F.components, lc)
         rhs = np.einsum("abc,ai,bj,ck->ijk", nabF, E, E, E)
         rep.record(f"torsion_derivative_principal_{label}", np.max(np.abs(lhs - rhs)))
-    lhs_52 = np.einsum("abcd,ai,b,c,dj->ij", nabH, E, V, JV, E)
+    lhs_52 = pullback(nabH, E, V, JV, E)
     rhs_52 = -0.5 * lhs_vp
     rep.record("torsion_derivative_vertical_pair", np.max(np.abs(lhs_52 - rhs_52)))
-    lhs_53 = np.einsum("abcd,a,b,ci,dj->ij", nabH, V, JV, E, E)
+    lhs_53 = pullback(nabH, V, JV, E, E)
     rep.record("torsion_derivative_vertical_direction", np.max(np.abs(lhs_53 - 0.5 * lhs_vp)))
 
     # Riemann curvature against Bismut curvature
     for label, vert in (("V", V), ("JV", JV)):
-        lhsR = np.einsum("abcd,a,bi,cj,dk->ijk", RM, vert, E, E, E)
-        lhsB = np.einsum("abcd,a,bi,cj,dk->ijk", RB, vert, E, E, E)
+        lhsR = pullback(RM, vert, E, E, E)
+        lhsB = pullback(RB, vert, E, E, E)
         rep.record(f"riemann_vs_bismut_mixed_{label}", np.max(np.abs(lhsR - 0.5 * lhsB)))
     lhs_62 = np.einsum("ab,ai,bj->ij", c2(RM, V, JV), E, E)
     rep.record("riemann_vs_bismut_vertical_pair", np.max(np.abs(lhs_62 - 0.25 * lhs_vp)))
-    lhs_63 = np.einsum("abcd,a,bi,cj,d->ij", RM, V, E, E, JV)
+    lhs_63 = pullback(RM, V, E, E, JV)
     rhs_63 = 0.25 * np.einsum("jk,ik->ij", fv, fjv)
     rep.record("riemann_mixed_vertical_pair", np.max(np.abs(lhs_63 - rhs_63)))
     rep.record("riemann_vertical_pair_vanishes", np.max(np.abs(lhs_62)))
@@ -526,8 +537,7 @@ def assemble(
 def curvature_operator_spectrum(m: HermitianModel) -> np.ndarray:
     """Sorted eigenvalues of the Riemann curvature operator on 2-forms."""
     E = m.orthonormal_frame()
-    R = curvature(levi_civita(m), m.algebra).R
-    Ron = np.einsum("abcd,ai,bj,ck,dl->ijkl", R, E, E, E, E)
+    Ron = pullback(m.geometry.lc_curvature.R, E, E, E, E)
     n = m.dim
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     M = np.empty((len(pairs), len(pairs)))
@@ -540,7 +550,7 @@ def curvature_operator_spectrum(m: HermitianModel) -> np.ndarray:
 def scalar_signature(m: HermitianModel) -> dict[str, float]:
     """Frame-independent scalars used when comparing assembled models."""
     theta = lee_form(m)
-    H = bismut_torsion(m)
+    H = m.geometry.H
     return {
         "lee_norm2": norm2(theta, m.metric),
         "torsion_norm2": norm2(H, m.metric),

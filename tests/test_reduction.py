@@ -15,6 +15,7 @@ from bhe.frame_geometry import (
     change_frame,
     curvature,
     levi_civita,
+    scale_metric,
 )
 
 
@@ -307,3 +308,23 @@ class TestAssembly:
         F_JV = FormTensor(2, 4, -(w1 + w2))
         with pytest.raises(ValidationError):
             reduction.assemble(flat, F_V, F_JV)
+
+    def test_round_trip_rotated_scaled_variant(self):
+        # a J-commuting rotation plus a metric scale of su2xsu2 is exactly
+        # BHE; its assembled brackets carry a Jacobi residual of ~7e-14 from
+        # round-off, which the Jacobi tolerance must accept
+        m = catalog.build_model("su2xsu2")
+        rng = np.random.default_rng(46)
+        A = rng.standard_normal((6, 6))
+        S = A - A.T
+        S = 0.5 * (S - m.J @ S @ m.J)
+        Q = np.linalg.solve(np.eye(6) - 0.5 * S, np.eye(6) + 0.5 * S)
+        scale = float(rng.uniform(0.8, 1.25))
+        r = reduction.reduce(scale_metric(change_frame(m, Q), scale))
+        trans, F_V4, F_JV4, f = reduction.transverse_package(r)
+        asm = reduction.assemble(trans, F_V4, F_JV4, f)
+        assert bhe_residual(asm) < 1e-12
+        _, G_V, G_JV, f2 = reduction.transverse_package(reduction.reduce(asm))
+        assert np.max(np.abs(G_V.components - F_V4.components)) < 1e-12
+        assert np.max(np.abs(G_JV.components - F_JV4.components)) < 1e-12
+        assert abs(f2 - f) < 1e-15

@@ -1,0 +1,168 @@
+"""One cached geometry per model, pinned report residuals, slot-wise pullback."""
+
+import gc
+import json
+import os
+import weakref
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from bhe import catalog, reduction
+from bhe import frame_geometry as fg
+from bhe.cli import model_report
+from bhe.forms import pullback
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "model_report_residuals.json")
+
+
+def _j_rotation(J, rng):
+    """Cayley transform of a random J-commuting skew matrix."""
+    n = J.shape[0]
+    A = rng.standard_normal((n, n))
+    S = A - A.T
+    S = 0.5 * (S - J @ S @ J)
+    return np.linalg.solve(np.eye(n) - 0.5 * S, np.eye(n) + 0.5 * S)
+
+
+def _variant(name, seed):
+    m = catalog.build_model(name)
+    rng = np.random.default_rng(seed)
+    Q = _j_rotation(m.J, rng)
+    return fg.scale_metric(fg.change_frame(m, Q), float(rng.uniform(0.8, 1.25)))
+
+
+def _counting(monkeypatch, module, name, key, counts, keep):
+    """Replace module.name by a wrapper that counts calls per key(args)."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        keep.append(args)  # keeps ids unique for the whole report
+        counts[(name,) + key(*args)] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestGeometryCache:
+    def test_each_object_computed_once_per_model(self, monkeypatch):
+        m = _variant("su2xsu2", 3)
+        counts, keep = Counter(), []
+        _counting(monkeypatch, fg, "levi_civita", lambda mm: (id(mm),), counts, keep)
+        _counting(monkeypatch, fg, "bismut_torsion", lambda mm: (id(mm),), counts, keep)
+        _counting(monkeypatch, fg, "curvature",
+                  lambda conn, alg: (id(conn.metric), conn.flavor), counts, keep)
+        _counting(monkeypatch, reduction, "transverse_curvature", lambda r: (id(r),), counts, keep)
+        _counting(monkeypatch, reduction, "transverse_connection", lambda r: (id(r),), counts, keep)
+        rep = model_report(m)
+        assert rep.passes(1e-12)
+        assert set(counts.values()) == {1}, {k: v for k, v in counts.items() if v != 1}
+        per_function = Counter(k[0] for k in counts)
+        # the variant, its unit-|V| rescaling and six rotated frames in
+        # dilaton_constancy; the parent code computed levi_civita 36 times
+        assert per_function["levi_civita"] == 8
+        assert per_function["bismut_torsion"] == 8
+        # every model needs its Bismut curvature (bhe_residual); only the
+        # variant (verify_lrho) and its rescaling (transverse curvature)
+        # need the Riemann curvature
+        flavors = Counter(k[2] for k in counts if k[0] == "curvature")
+        assert flavors == {"levi_civita": 2, "bismut": 8}
+        # the reduction suites share one transverse curvature and connection
+        assert per_function["transverse_curvature"] == 1
+        assert per_function["transverse_connection"] == 1
+
+    def test_geometry_is_per_model(self):
+        m = catalog.build_model("su2xsu2")
+        assert m.geometry is m.geometry
+        assert m.geometry.model is m
+        m2 = fg.scale_metric(m, 2.0)
+        assert m2.geometry is not m.geometry
+        assert np.array_equal(m2.geometry.lc.gamma, fg.levi_civita(m2).gamma)
+
+    def test_model_is_freed_without_the_cycle_collector(self):
+        # the geometry refers back to its model weakly, so a model and its
+        # cache go as soon as the last reference to the model does
+        m = _variant("su2xsu2", 4)
+        geo = m.geometry
+        model_report(m)
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
+        with pytest.raises(ReferenceError):
+            geo.model
+
+    def test_cached_arrays_are_read_only(self):
+        m = _variant("su2xsu2", 5)
+        geo = m.geometry
+        r = reduction.reduce(m)
+        t1, t2 = geo.lee_pair
+        arrays = [
+            geo.omega.components, geo.domega.components, geo.H.components,
+            geo.lc.gamma, geo.bismut.gamma, geo.lc_curvature.R, geo.bismut_curvature.R,
+            t1.components, t2.components, geo.V, r.R_T, r.gamma_T,
+        ]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+        # a fresh computation is still writable
+        fg.levi_civita(m).gamma[0, 0, 0] = 1.0
+
+
+class TestPinnedResiduals:
+    """model_report residuals recorded before the geometry cache and pullback."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        with open(FIXTURE, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @staticmethod
+    def _close(new, old):
+        assert list(new) == list(old)
+        for k, v in old.items():
+            gap = abs(new[k] - v)
+            assert gap <= 1e-15 or gap <= 1e-12 * abs(v), (k, new[k], v)
+
+    def test_catalog_models(self, pinned):
+        assert sorted(pinned["models"]) == sorted(catalog.MODEL_NAMES)
+        for name, residuals in pinned["models"].items():
+            self._close(model_report(catalog.build_model(name)).residuals, residuals)
+
+    def test_seeded_variants(self, pinned):
+        assert len(pinned["variants"]) == 2
+        for v in pinned["variants"]:
+            m = fg.scale_metric(fg.change_frame(catalog.build_model(v["base"]), np.array(v["Q"])),
+                                v["scale"])
+            self._close(model_report(m).residuals, v["residuals"])
+
+
+class TestPullback:
+    @pytest.mark.parametrize("subscripts, kinds", [
+        ("abcd,ai,bj,ck,dl->ijkl", "MMMM"),
+        ("abcd,a,bi,cj,dk->ijk", "vMMM"),
+        ("abcd,ai,b,cj,dk->ijk", "MvMM"),
+        ("abcd,a,bi,cj,d->ij", "vMMv"),
+        ("abcd,a,b,ci,dj->ij", "vvMM"),
+        ("abcd,ai,b,c,dj->ij", "MvvM"),
+        ("abc,ai,b,ck->ik", "MvM"),
+        ("ab,a,b->", "vv"),
+    ])
+    def test_matches_einsum(self, subscripts, kinds):
+        rng = np.random.default_rng(len(subscripts) + 7 * kinds.count("v"))
+        for _ in range(5):
+            T = rng.standard_normal((6,) * len(kinds))
+            factors = [rng.standard_normal(6) if k == "v" else rng.standard_normal((6, 4))
+                       for k in kinds]
+            ref = np.einsum(subscripts, T, *factors)
+            out = pullback(T, *factors)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_rejects_wrong_factor_count(self):
+        with pytest.raises(ValueError):
+            pullback(np.zeros((3, 3)), np.zeros(3))
