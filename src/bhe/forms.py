@@ -59,31 +59,46 @@ class FormTensor:
         expected = () if self.degree == 0 else (self.dim,) * self.degree
         if comp.shape != expected:
             raise ValueError(f"components shape {comp.shape}, expected {expected}")
+        if not np.all(np.isfinite(comp)):
+            raise ValueError("components not finite")
         scale = max(1.0, float(np.max(np.abs(comp))) if comp.size else 0.0)
         defect = _antisym_defect(comp)
-        if defect > 1e-10 * scale:
+        if not defect <= 1e-10 * scale:
             raise ValueError(f"components not antisymmetric (defect {defect:.3e})")
+
+    @classmethod
+    def _of(cls, degree: int, dim: int, components: np.ndarray) -> "FormTensor":
+        """Wrap a result that is alternating by construction, without re-checking it.
+
+        For results of the operations in this package only; data from
+        outside goes through the checking constructor.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "components", np.asarray(components, dtype=float))
+        return out
 
     @staticmethod
     def zero(degree: int, dim: int) -> "FormTensor":
         shape = () if degree == 0 else (dim,) * degree
-        return FormTensor(degree, dim, np.zeros(shape))
+        return FormTensor._of(degree, dim, np.zeros(shape))
 
     def __add__(self, other: "FormTensor") -> "FormTensor":
         self._check_compatible(other)
-        return FormTensor(self.degree, self.dim, self.components + other.components)
+        return FormTensor._of(self.degree, self.dim, self.components + other.components)
 
     def __sub__(self, other: "FormTensor") -> "FormTensor":
         self._check_compatible(other)
-        return FormTensor(self.degree, self.dim, self.components - other.components)
+        return FormTensor._of(self.degree, self.dim, self.components - other.components)
 
     def __mul__(self, scalar: float) -> "FormTensor":
-        return FormTensor(self.degree, self.dim, self.components * float(scalar))
+        return FormTensor._of(self.degree, self.dim, self.components * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FormTensor":
-        return FormTensor(self.degree, self.dim, -self.components)
+        return FormTensor._of(self.degree, self.dim, -self.components)
 
     def _check_compatible(self, other: "FormTensor"):
         if self.degree != other.degree or self.dim != other.dim:
@@ -106,7 +121,9 @@ class MetricFrame:
         object.__setattr__(self, "g", g)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("metric must be a square matrix")
-        if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
+        if not np.all(np.isfinite(g)):
+            raise ValueError("metric has non-finite entries")
+        if not np.max(np.abs(g - g.T)) <= 1e-12 * max(1.0, np.max(np.abs(g))):
             raise ValueError("metric not symmetric")
         eigs = np.linalg.eigvalsh(g)
         if eigs[0] <= 0:
@@ -121,7 +138,7 @@ class MetricFrame:
     def volume_form(self) -> FormTensor:
         """dV with dV(e_1,...,e_n) = sqrt(det g)."""
         n = self.dim
-        return FormTensor(n, n, self.sqrt_det * levi_civita(n))
+        return FormTensor._of(n, n, self.sqrt_det * levi_civita(n))
 
 
 _EPS_CACHE: dict[int, np.ndarray] = {}
@@ -144,20 +161,16 @@ def wedge(a: FormTensor, b: FormTensor) -> FormTensor:
     if k + l > a.dim:
         raise DegreeOverflowError(f"wedge degree {k}+{l} exceeds dimension {a.dim}")
     if k == 0:
-        return FormTensor(l, b.dim, float(a.components) * b.components)
+        return FormTensor._of(l, b.dim, float(a.components) * b.components)
     if l == 0:
-        return FormTensor(k, a.dim, float(b.components) * a.components)
+        return FormTensor._of(k, a.dim, float(b.components) * a.components)
     T = np.multiply.outer(a.components, b.components)
     comp = _kernels.alt_sum(T) / (_kernels.factorial(k) * _kernels.factorial(l))
-    return FormTensor(k + l, a.dim, comp)
+    return FormTensor._of(k + l, a.dim, comp)
 
 
 def raise_indices(b: FormTensor, g: MetricFrame) -> np.ndarray:
-    comp = b.components
-    for axis in range(b.degree):
-        comp = np.tensordot(comp, g.inv, axes=([axis], [0]))
-        comp = np.moveaxis(comp, -1, axis)
-    return comp
+    return pullback(b.components, *(g.inv,) * b.degree)
 
 
 def inner(a: FormTensor, b: FormTensor, g: MetricFrame) -> float:
@@ -180,28 +193,25 @@ def hodge_star(a: FormTensor, g: MetricFrame) -> FormTensor:
     eps = levi_civita(n)
     if k == 0:
         comp = float(a.components) * g.sqrt_det * eps
-        return FormTensor(n, n, comp)
+        return FormTensor._of(n, n, comp)
     raised = raise_indices(a, g)
     comp = np.tensordot(raised, eps, axes=(tuple(range(k)), tuple(range(k))))
     comp *= g.sqrt_det / _kernels.factorial(k)
-    return FormTensor(n - k, n, comp if n > k else comp.reshape(()))
+    return FormTensor._of(n - k, n, comp if n > k else comp.reshape(()))
 
 
 def interior_product(X: np.ndarray, b: FormTensor) -> FormTensor:
     """Contraction of the first slot with the frame vector X."""
     if b.degree == 0:
         raise DegreeOverflowError("cannot contract a 0-form")
-    comp = np.tensordot(np.asarray(X, dtype=float), b.components, axes=(0, 0))
-    return FormTensor(b.degree - 1, b.dim, comp if b.degree > 1 else comp.reshape(()))
+    comp = np.asarray(X, dtype=float) @ b.components.reshape(b.dim, -1)
+    return FormTensor._of(b.degree - 1, b.dim, comp.reshape(b.components.shape[1:]))
 
 
 def j_conjugate(b: FormTensor, J: np.ndarray) -> FormTensor:
     """Pullback b(J., ..., J.) through an endomorphism of the frame."""
-    comp = b.components
-    for axis in range(b.degree):
-        comp = np.tensordot(comp, np.asarray(J, dtype=float), axes=([axis], [0]))
-        comp = np.moveaxis(comp, -1, axis)
-    return FormTensor(b.degree, b.dim, comp)
+    J = np.asarray(J, dtype=float)
+    return FormTensor._of(b.degree, b.dim, pullback(b.components, *(J,) * b.degree))
 
 
 def pullback(T: np.ndarray, *factors: np.ndarray) -> np.ndarray:
@@ -209,13 +219,15 @@ def pullback(T: np.ndarray, *factors: np.ndarray) -> np.ndarray:
 
     pullback(T, u, E) is T(u, E.) = einsum("ab,a,bi->i", T, u, E): a vector
     slot is consumed, a frame slot leaves one output axis, and the output
-    axes follow the order of the frame factors.
+    axes follow the order of the frame factors.  Each slot is one matrix
+    product: the leading axis is contracted and the new axis is appended.
     """
     out = np.asarray(T)
     if len(factors) != out.ndim:
         raise ValueError(f"{out.ndim}-slot tensor needs {out.ndim} factors, got {len(factors)}")
     for F in factors:
-        out = np.tensordot(out, F, axes=([0], [0]))
+        rest = out.shape[1:]
+        out = (out.reshape(out.shape[0], -1).T @ F).reshape(rest + F.shape[1:])
     return out
 
 
@@ -228,10 +240,10 @@ def omega_trace(b: FormTensor, omega: FormTensor, g: MetricFrame) -> float | For
     if b.degree < 2 or omega.degree != 2:
         raise ValueError("omega_trace needs a 2-form omega and degree >= 2 input")
     omega_up = raise_indices(omega, g)
-    comp = np.tensordot(omega_up, b.components, axes=([0, 1], [0, 1]))
+    comp = omega_up.ravel() @ b.components.reshape(omega_up.size, -1)
     if b.degree == 2:
-        return float(comp)
-    return FormTensor(b.degree - 2, b.dim, comp)
+        return float(comp[0])
+    return FormTensor._of(b.degree - 2, b.dim, comp.reshape(b.components.shape[2:]))
 
 
 def type_decompose(b: FormTensor, J: np.ndarray) -> tuple[FormTensor, FormTensor]:
@@ -243,6 +255,6 @@ def type_decompose(b: FormTensor, J: np.ndarray) -> tuple[FormTensor, FormTensor
     if b.degree != 2:
         raise ValueError("type decomposition implemented for 2-forms")
     bJJ = j_conjugate(b, J)
-    inv = FormTensor(2, b.dim, 0.5 * (b.components + bJJ.components))
-    anti = FormTensor(2, b.dim, 0.5 * (b.components - bJJ.components))
+    inv = FormTensor._of(2, b.dim, 0.5 * (b.components + bJJ.components))
+    anti = FormTensor._of(2, b.dim, 0.5 * (b.components - bJJ.components))
     return inv, anti

@@ -33,6 +33,7 @@ from .forms import (
     interior_product,
     j_conjugate,
     omega_trace,
+    pullback,
     type_decompose,
 )
 from .report import Report
@@ -63,11 +64,13 @@ class StructureAlgebra:
         n = c.shape[0]
         if c.shape != (n, n, n):
             raise ValidationError(f"structure constants shape {c.shape}, expected cube")
+        if not np.all(np.isfinite(c)):
+            raise ValidationError("structure constants not finite")
         skew = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
-        if skew > 1e-12 * max(1.0, np.max(np.abs(c))):
+        if not skew <= 1e-12 * max(1.0, np.max(np.abs(c))):
             raise ValidationError(f"structure constants not antisymmetric (defect {skew:.3e})")
         jac = self.jacobi_residual()
-        if jac > 1e-12 * max(1.0, np.max(np.abs(c)) ** 2):
+        if not jac <= 1e-12 * max(1.0, np.max(np.abs(c)) ** 2):
             raise ValidationError(f"Jacobi identity fails (residual {jac:.3e})")
 
     @property
@@ -88,9 +91,13 @@ def nijenhuis(algebra: StructureAlgebra, J: np.ndarray) -> np.ndarray:
     """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on frame pairs."""
     c = algebra.c
     J = np.asarray(J, dtype=float)
-    t1 = np.einsum("pa,qb,pqm->abm", J, J, c)
-    t2 = np.einsum("md,pa,pbd->abm", J, J, c)
-    t3 = np.einsum("md,qb,aqd->abm", J, J, c)
+    n = c.shape[0]
+    cJ = (J.T @ c.reshape(n, -1)).reshape(c.shape)  # [JX, Y] for X, Y = e_a, e_b
+    # J.T @ T contracts T's middle slot with J (batched over the first);
+    # T @ J.T applies J to the bracket in the last slot
+    t1 = J.T @ cJ  # [JX, JY]
+    t2 = cJ @ J.T  # J[JX, Y]
+    t3 = (J.T @ c) @ J.T  # J[X, JY]
     return t1 - t2 - t3 - c
 
 
@@ -110,15 +117,17 @@ class HermitianModel:
         n = self.algebra.dim
         if self.metric.dim != n or J.shape != (n, n):
             raise ValidationError("algebra / metric / J dimensions disagree")
+        if not np.all(np.isfinite(J)):
+            raise ValidationError("J not finite")
         jj = np.max(np.abs(J @ J + np.eye(n)))
-        if jj > 1e-12:
+        if not jj <= 1e-12:
             raise ValidationError(f"J^2 != -I (defect {jj:.3e})")
         g = self.metric.g
         compat = np.max(np.abs(J.T @ g @ J - g))
-        if compat > 1e-12 * max(1.0, np.max(np.abs(g))):
+        if not compat <= 1e-12 * max(1.0, np.max(np.abs(g))):
             raise ValidationError(f"metric not J-compatible (defect {compat:.3e})")
         nij = np.max(np.abs(nijenhuis(self.algebra, J)))
-        if nij > 1e-12 * max(1.0, np.max(np.abs(self.algebra.c))):
+        if not nij <= 1e-12 * max(1.0, np.max(np.abs(self.algebra.c))):
             raise ValidationError(f"J not integrable (Nijenhuis residual {nij:.3e})")
 
     @property
@@ -155,8 +164,10 @@ class ConnectionCoeffs:
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
         object.__setattr__(self, "gamma", gamma)
+        if not np.all(np.isfinite(gamma)):
+            raise ValidationError("connection coefficients not finite")
         defect = np.max(np.abs(gamma + np.swapaxes(gamma, 1, 2)))
-        if defect > 1e-10 * max(1.0, np.max(np.abs(gamma))):
+        if not defect <= 1e-10 * max(1.0, np.max(np.abs(gamma))):
             raise ValidationError(f"connection not metric (defect {defect:.3e})")
 
     @property
@@ -177,10 +188,12 @@ class CurvatureTensor:
     def __post_init__(self):
         R = np.asarray(self.R, dtype=float)
         object.__setattr__(self, "R", R)
+        if not np.all(np.isfinite(R)):
+            raise ValidationError("curvature not finite")
         scale = max(1.0, np.max(np.abs(R)))
         d1 = np.max(np.abs(R + np.swapaxes(R, 0, 1)))
         d2 = np.max(np.abs(R + np.swapaxes(R, 2, 3)))
-        if max(d1, d2) > 1e-10 * scale:
+        if not (d1 <= 1e-10 * scale and d2 <= 1e-10 * scale):
             raise ValidationError("curvature lacks antisymmetry in (a,b) or (c,d)")
 
     def sup_norm(self) -> float:
@@ -199,7 +212,7 @@ def exterior_derivative(b: FormTensor, algebra: StructureAlgebra) -> FormTensor:
     comp = _kernels.dform_core(algebra.c, b.components, b.degree)
     if b.degree == 0:
         comp = np.zeros(algebra.dim)  # invariant functions are constant
-    return FormTensor(b.degree + 1, algebra.dim, comp)
+    return FormTensor._of(b.degree + 1, algebra.dim, comp)
 
 
 def covariant_derivative(T: np.ndarray, conn: ConnectionCoeffs) -> np.ndarray:
@@ -218,7 +231,7 @@ def codifferential(b: FormTensor, conn: ConnectionCoeffs) -> FormTensor:
     """d* b = -trace of the covariant derivative (adjoint of d)."""
     nab = covariant_derivative(b.components, conn)
     comp = -np.einsum("ab...,ab->...", nab, conn.metric.inv)
-    return FormTensor(b.degree - 1, b.dim, comp if b.degree > 1 else comp.reshape(()))
+    return FormTensor._of(b.degree - 1, b.dim, comp if b.degree > 1 else comp.reshape(()))
 
 
 def lie_derivative_metric(X: np.ndarray, m: HermitianModel) -> np.ndarray:
@@ -269,7 +282,7 @@ def bismut_ricci_form(m: HermitianModel) -> FormTensor:
     """rho_B(X,Y) = (1/2) <R^B(X,Y) J eps_i, eps_i> over an orthonormal frame."""
     RB = m.geometry.bismut_curvature
     comp = 0.5 * np.einsum("abcd,cm,md->ab", RB.R, m.J, m.metric.inv)
-    return FormTensor(2, m.dim, comp)
+    return FormTensor._of(2, m.dim, comp)
 
 
 def bhe_residual(m: HermitianModel) -> float:
@@ -286,7 +299,7 @@ def lee_form_both(m: HermitianModel) -> tuple[FormTensor, FormTensor]:
     geo = m.geometry
     theta_tr = 0.5 * omega_trace(geo.domega, geo.omega, m.metric)
     dstar = codifferential(geo.omega, geo.lc)
-    theta_cod = FormTensor(1, m.dim, -np.einsum("c,ca->a", dstar.components, m.J))
+    theta_cod = FormTensor._of(1, m.dim, -np.einsum("c,ca->a", dstar.components, m.J))
     return theta_tr, theta_cod
 
 
@@ -441,7 +454,7 @@ def change_frame(m: HermitianModel, S: np.ndarray) -> HermitianModel:
     """Model in the new frame u_p = S[:, p]; all scalars are unchanged."""
     S = np.asarray(S, dtype=float)
     Sinv = np.linalg.inv(S)
-    c_new = np.einsum("ap,bq,abk,rk->pqr", S, S, m.algebra.c, Sinv)
+    c_new = pullback(m.algebra.c, S, S, Sinv.T)
     g_new = S.T @ m.metric.g @ S
     J_new = Sinv @ m.J @ S
     return HermitianModel(

@@ -20,8 +20,9 @@ K_base = K_total + (3/4)|v[X,Y]|^2 on sections).
 The suites share the parent's cached geometry (``r.parent.geometry``): the
 Levi-Civita and Bismut connections, their curvatures and the torsion are
 computed once per model, and the transverse curvature and connection once
-per reduction (``r.R_T``, ``r.gamma_T``).  Restrictions of parent tensors to
-the adapted frame contract one slot at a time (``forms.pullback``).
+per reduction (``r.R_T``, ``r.gamma_T``).  Restrictions of parent tensors
+to the adapted frame (horizontal frame and vertical fields) are each one
+call of ``forms.pullback``, which contracts one slot per matrix product.
 """
 
 from __future__ import annotations
@@ -101,11 +102,11 @@ class ReductionData:
     def restrict2(self, b: FormTensor) -> np.ndarray:
         """Components of a parent 2-form in the horizontal orthonormal frame."""
         E = self.horizontal
-        return np.einsum("ab,ai,bj->ij", b.components, E, E)
+        return pullback(b.components, E, E)
 
     def restrict3(self, b: FormTensor) -> np.ndarray:
         E = self.horizontal
-        return np.einsum("abc,ai,bj,ck->ijk", b.components, E, E, E)
+        return pullback(b.components, E, E, E)
 
     def to_dict(self) -> dict:
         def form_entries(b: FormTensor) -> list:
@@ -176,8 +177,8 @@ def reduce(m: HermitianModel, bhe_tol: float = 1e-10) -> ReductionData:
     geo = m.geometry
     V = geo.V  # f constant on invariant frames, so V = theta#
     JV = m.J @ V
-    eta = FormTensor(1, m.dim, g @ V)
-    Jeta = FormTensor(1, m.dim, g @ JV)
+    eta = FormTensor._of(1, m.dim, g @ V)
+    Jeta = FormTensor._of(1, m.dim, g @ JV)
 
     F_V = exterior_derivative(eta, m.algebra)
     F_JV = exterior_derivative(Jeta, m.algebra)
@@ -246,9 +247,8 @@ def transverse_lee_form(r: ReductionData) -> np.ndarray:
     m = r.parent
     d_omega_T = exterior_derivative(r.omega_T, m.algebra)
     omega_up = r.restrict2(r.omega_T)
-    d_res = np.einsum("abc,ai,bj->ijc", d_omega_T.components, r.horizontal, r.horizontal)
-    theta_full = 0.5 * np.einsum("ij,ijc->c", omega_up, d_res)
-    return theta_full @ r.horizontal  # horizontal components
+    d_h = r.restrict3(d_omega_T)
+    return 0.5 * omega_up.ravel() @ d_h.reshape(omega_up.size, -1)
 
 
 def p3_residuals(r: ReductionData) -> Report:
@@ -291,7 +291,7 @@ def transverse_curvature(r: ReductionData) -> np.ndarray:
 def transverse_connection(r: ReductionData) -> np.ndarray:
     """Levi-Civita coefficients of g^T in the horizontal orthonormal frame."""
     E = r.horizontal
-    return np.einsum("abc,ai,bj,ck->ijk", r.parent.geometry.lc.gamma, E, E, E)
+    return pullback(r.parent.geometry.lc.gamma, E, E, E)
 
 
 def _transverse_covariant(gammaT: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -372,19 +372,14 @@ def lemma_suite(r: ReductionData) -> Report:
     fv, fjv = r.restrict2(r.F_V), r.restrict2(r.F_JV)
     ht = r.restrict3(r.H_T)
 
-    def c2(T4, u, v):  # contract first two slots with vectors
-        return np.einsum("abcd,a,b->cd", T4, u, v)
-
     # vertical Christoffel rows of the Bismut connection equal F components
     nab_eta_B = covariant_derivative(r.eta.components, gb)
     nab_jeta_B = covariant_derivative(r.Jeta.components, gb)
-    h_vee = np.einsum("abc,a->bc", H.components, V)
-    h_jvee = np.einsum("abc,a->bc", H.components, JV)
-    for label, nab, hv, F in (
-        ("V", nab_eta_B, h_vee, fv),
-        ("JV", nab_jeta_B, h_jvee, fjv),
+    for label, nab, vert, F in (
+        ("V", nab_eta_B, V, fv),
+        ("JV", nab_jeta_B, JV, fjv),
     ):
-        lhs = np.einsum("ab,ai,bj->ij", nab, E, E) + np.einsum("ab,ai,bj->ij", hv, E, E)
+        lhs = pullback(nab, E, E) + pullback(H.components, vert, E, E)
         rep.record(f"vertical_christoffel_{label}", np.max(np.abs(lhs - F)))
 
     # horizontal block of the Bismut curvature
@@ -407,7 +402,7 @@ def lemma_suite(r: ReductionData) -> Report:
     rep.record("curvature_horizontal_block", np.max(np.abs(RBh - rhs_h)))
 
     # vertical-pair block: R^B(V, JV, ., .) against the F commutator
-    lhs_vp = np.einsum("ab,ai,bj->ij", c2(RB, V, JV), E, E)
+    lhs_vp = pullback(RB, V, JV, E, E)
     rhs_vp = fv @ fjv.T - fjv @ fv.T
     rep.record("curvature_vertical_pair_block", np.max(np.abs(lhs_vp - rhs_vp)))
 
@@ -415,7 +410,7 @@ def lemma_suite(r: ReductionData) -> Report:
     for label, vert, F in (("V", V, r.F_V), ("JV", JV, r.F_JV)):
         lhs = pullback(RB, vert, E, E, E)
         nabF = covariant_derivative(F.components, gb)
-        rhs = -np.einsum("abc,ai,bj,ck->ijk", nabF, E, E, E)
+        rhs = -pullback(nabF, E, E, E)
         rep.record(f"curvature_mixed_block_{label}", np.max(np.abs(lhs - rhs)))
 
     # torsion covariant-derivative components (Levi-Civita connection)
@@ -423,7 +418,7 @@ def lemma_suite(r: ReductionData) -> Report:
     for label, vert, F in (("V", V, r.F_V), ("JV", JV, r.F_JV)):
         lhs = pullback(nabH, E, vert, E, E)
         nabF = covariant_derivative(F.components, lc)
-        rhs = np.einsum("abc,ai,bj,ck->ijk", nabF, E, E, E)
+        rhs = pullback(nabF, E, E, E)
         rep.record(f"torsion_derivative_principal_{label}", np.max(np.abs(lhs - rhs)))
     lhs_52 = pullback(nabH, E, V, JV, E)
     rhs_52 = -0.5 * lhs_vp
@@ -436,7 +431,7 @@ def lemma_suite(r: ReductionData) -> Report:
         lhsR = pullback(RM, vert, E, E, E)
         lhsB = pullback(RB, vert, E, E, E)
         rep.record(f"riemann_vs_bismut_mixed_{label}", np.max(np.abs(lhsR - 0.5 * lhsB)))
-    lhs_62 = np.einsum("ab,ai,bj->ij", c2(RM, V, JV), E, E)
+    lhs_62 = pullback(RM, V, JV, E, E)
     rep.record("riemann_vs_bismut_vertical_pair", np.max(np.abs(lhs_62 - 0.25 * lhs_vp)))
     lhs_63 = pullback(RM, V, E, E, JV)
     rhs_63 = 0.25 * np.einsum("jk,ik->ij", fv, fjv)
@@ -467,7 +462,7 @@ def transverse_package(r: ReductionData) -> tuple[HermitianModel, FormTensor, Fo
     hd = r.hdim
     g = r.parent.metric.g
     # horizontal part of horizontal brackets, expanded in the orthonormal frame
-    cH = np.einsum("abm,ai,bj,mc,ck->ijk", r.parent.algebra.c, E, E, g, E)
+    cH = pullback(r.parent.algebra.c, E, E, g @ E)
     J4 = E.T @ g @ (r.parent.J @ E)  # component of J E_j along E_i
     model = HermitianModel(
         StructureAlgebra(cH), MetricFrame(np.eye(hd)), J4, f=r.f,

@@ -1,4 +1,4 @@
-"""Damped Gauss-Newton on momentum profiles, plus 1D elliptic solves.
+"""Damped Gauss-Newton on momentum profiles.
 
 The unknowns are interior profile values with the two pole-smoothness
 constraints eliminated per sphere factor; the class data (half-lengths,
@@ -39,7 +39,6 @@ from .toric import (
     ProductSurface,
     SphereProfile,
     _d2,
-    laplacian_1d,
     pde_residual,
     ricci_form_coeffs,
     sphere_flux_laplacian,
@@ -99,40 +98,6 @@ class SolveTrace:
         for i, (r, s) in enumerate(zip(self.residual_sup[1:], self.steps), start=1):
             rows.append((i, r, s))
         return rows
-
-
-# ---------------------------------------------------------------------------
-# 1D elliptic solve
-# ---------------------------------------------------------------------------
-
-
-def poisson_1d(p: SphereProfile, rhs: np.ndarray, compat_tol: float = 1e-8) -> np.ndarray:
-    """Solve (Theta u')' = rhs with zero-mean gauge and regular endpoints.
-
-    The right-hand side must integrate to zero (solvability); the returned
-    solution satisfies the discrete equation to 1e-10 relative whenever the
-    discrete system is exactly compatible (odd data on symmetric profiles,
-    and anything in the range of the operator).
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    w = p.weights()
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    if abs(float(np.sum(rhs * w))) > compat_tol * scale:
-        raise ValidationError("incompatible right-hand side: nonzero mean")
-    npts = rhs.shape[0]
-    L = np.empty((npts, npts))
-    for k in range(npts):
-        e = np.zeros(npts)
-        e[k] = 1.0
-        L[:, k] = laplacian_1d(p, e)
-    u, *_ = np.linalg.lstsq(L, rhs, rcond=None)
-    roundtrip = float(np.max(np.abs(L @ u - rhs)))
-    if roundtrip > compat_tol * scale:
-        raise ValidationError(
-            f"incompatible right-hand side: residual {roundtrip:.3e} after projection"
-        )
-    u = u - float(np.sum(u * w)) / float(np.sum(w))
-    return u
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,13 @@ class TestInterior:
         oracle = np.einsum("a,abc->bc", X, b.components)
         assert np.allclose(ib.components, oracle)
 
+    def test_two_form_is_contracted_in_its_first_slot(self):
+        # on even degrees the first and the last slot differ by sign
+        rng = np.random.default_rng(38)
+        b = random_form(2, 5, rng)
+        X = rng.standard_normal(5)
+        assert np.allclose(interior_product(X, b).components, np.einsum("a,ab->b", X, b.components))
+
     def test_j_conjugate_of_invariant_form(self):
         J = np.zeros((4, 4))
         J[1, 0] = J[3, 2] = 1.0

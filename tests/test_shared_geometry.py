@@ -163,6 +163,19 @@ class TestPullback:
             assert out.shape == ref.shape
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    def test_non_contiguous_input_and_frame(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            T = rng.standard_normal((6, 6, 6, 6)).transpose(2, 0, 3, 1)
+            E = rng.standard_normal((4, 6)).T  # a non-contiguous 6 x 4 frame
+            F = rng.standard_normal((6, 4))
+            u = rng.standard_normal(6)
+            assert not (T.flags.c_contiguous or E.flags.c_contiguous)
+            ref = np.einsum("abcd,ai,b,cj,dk->ijk", T, E, u, F, E)
+            out = pullback(T, E, u, F, E)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_rejects_wrong_factor_count(self):
         with pytest.raises(ValueError):
             pullback(np.zeros((3, 3)), np.zeros(3))

@@ -1,44 +1,12 @@
-"""Elliptic solve and damped Gauss-Newton behavior."""
+"""Damped Gauss-Newton behavior."""
 
 import numpy as np
 import pytest
 
 from bhe import solver, toric
 from bhe.frame_geometry import ValidationError
-from bhe.solver import SolverConfig, newton_solve, poisson_1d
+from bhe.solver import SolverConfig, newton_solve
 from bhe.toric import ProductSurface, SphereProfile
-
-
-class TestPoisson:
-    def test_zero_rhs_gives_zero(self):
-        p = SphereProfile.round(1.0, 64)
-        u = poisson_1d(p, np.zeros(65))
-        assert np.max(np.abs(u)) < 1e-14
-
-    def test_linear_solution_on_round_profile(self):
-        p = SphereProfile.round(1.0, 64)
-        u = poisson_1d(p, -2.0 * p.z)
-        w = p.weights()
-        zc = p.z - np.sum(p.z * w) / np.sum(w)
-        assert np.max(np.abs(u - zc)) < 1e-10
-
-    def test_solve_then_apply_round_trip(self):
-        p = SphereProfile.round(1.0, 64)
-        rhs = np.sin(np.pi * p.z)  # odd: exactly compatible on the symmetric grid
-        u = poisson_1d(p, rhs)
-        lap = toric.laplacian_1d(p, u)
-        assert np.max(np.abs(lap - rhs)) < 1e-10
-
-    def test_incompatible_rhs_rejected(self):
-        p = SphereProfile.round(1.0, 64)
-        with pytest.raises(ValidationError):
-            poisson_1d(p, np.ones(65))
-
-    def test_flat_factor_periodic_solve(self):
-        p = SphereProfile.flat(1.0, 64)
-        rhs = np.sin(np.pi * p.z)
-        u = poisson_1d(p, rhs)
-        assert np.max(np.abs(toric.laplacian_1d(p, u) - rhs)) < 1e-10
 
 
 class TestConfig:
