@@ -28,6 +28,10 @@ class DegreeOverflowError(ValueError):
     """Raised when an operation would exceed the frame dimension."""
 
 
+class ValidationError(ValueError):
+    """Input data violates a structural invariant (with diagnostics)."""
+
+
 def _antisym_defect(components: np.ndarray) -> float:
     # adjacent transpositions generate the symmetric group, so checking
     # b + swap(b, i, i+1) = 0 for every i is equivalent to full antisymmetry
@@ -128,8 +132,11 @@ class MetricFrame:
         eigs = np.linalg.eigvalsh(g)
         if eigs[0] <= 0:
             raise ValueError(f"metric not positive-definite (min eigenvalue {eigs[0]:.3e})")
+        sqrt_det = float(np.sqrt(np.linalg.det(g)))
+        if not np.isfinite(sqrt_det):
+            raise ValidationError("metric volume sqrt(det g) overflows")
         object.__setattr__(self, "inv", np.linalg.inv(g))
-        object.__setattr__(self, "sqrt_det", float(np.sqrt(np.linalg.det(g))))
+        object.__setattr__(self, "sqrt_det", sqrt_det)
 
     @property
     def dim(self) -> int:
@@ -250,7 +257,7 @@ def type_decompose(b: FormTensor, J: np.ndarray) -> tuple[FormTensor, FormTensor
     """Split a 2-form into its J-invariant and J-anti-invariant parts."""
     J = np.asarray(J, dtype=float)
     n = J.shape[0]
-    if np.max(np.abs(J @ J + np.eye(n))) > 1e-10:
+    if not np.max(np.abs(J @ J + np.eye(n))) <= 1e-10:
         raise ValueError("J is not an almost-complex structure (J^2 != -I)")
     if b.degree != 2:
         raise ValueError("type decomposition implemented for 2-forms")

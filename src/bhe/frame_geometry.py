@@ -30,6 +30,7 @@ from . import _kernels
 from .forms import (
     FormTensor,
     MetricFrame,
+    ValidationError,
     interior_product,
     j_conjugate,
     omega_trace,
@@ -37,10 +38,6 @@ from .forms import (
     type_decompose,
 )
 from .report import Report
-
-
-class ValidationError(ValueError):
-    """Input data violates a structural invariant (with diagnostics)."""
 
 
 class KahlerInputError(ValueError):

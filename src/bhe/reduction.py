@@ -207,9 +207,8 @@ def reduce(m: HermitianModel, bhe_tol: float = 1e-10) -> ReductionData:
         )
         checks[f"{name}_type11"] = type_decompose(F, m.J)[1].sup_norm()
         checks[f"{name}_closed"] = exterior_derivative(F, m.algebra).sup_norm()
-    worst = max(checks.values())
-    if worst > 1e-12:
-        bad = {k: v for k, v in checks.items() if v > 1e-12}
+    bad = {k: v for k, v in checks.items() if not v <= 1e-12}
+    if bad:
         raise ValidationError(f"reduction invariants violated: {bad}")
 
     E = _horizontal_frame(m, V, JV)

@@ -26,6 +26,12 @@ the compressed system, built from forward differences of the 1-D factor
 data (A_f, k_f); the (n+1)^2-row Jacobian is never formed.  See C. F. Van
 Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123
 (2000).
+
+B^T J has full column rank: Dk_f is injective, because a profile change
+with zero second difference and fixed poles is zero.  So the least-squares
+step is unique and is solved exactly by one Householder QR of
+[B^T J, B^T r], with no singular values truncated.  cond(B^T J) grows like
+n^4, so any fixed truncation cut drops genuine directions at some n.
 """
 
 from __future__ import annotations
@@ -213,22 +219,32 @@ def _jacobian(s: ProductSurface, Q1: np.ndarray, Q2: np.ndarray, fd_step: float)
     return np.hstack(blocks)
 
 
-def _gauss_newton_step(s: ProductSurface, r: np.ndarray, fd_step: float) -> np.ndarray:
-    """Least-squares step p minimizing |J p + r|, solved on the compressed system."""
+def _gauss_newton_step(s: ProductSurface, r: np.ndarray, fd_step: float) -> np.ndarray | None:
+    """Least-squares step p minimizing |J p + r|, solved on the compressed system.
+
+    One Householder QR of [B^T J, B^T r] gives R, and the step solves
+    R[:-1, :-1] p = -R[:-1, -1]; B^T J has full column rank, so nothing is
+    truncated.  Returns None when R has a numerically zero diagonal entry
+    or the step is not finite.
+    """
     Q1, Q2 = (_span_basis(k) for k in ricci_form_coeffs(s))
-    M = _jacobian(s, Q1, Q2, fd_step)
     rhs = _compress(r.reshape(s.factor1.theta.size, s.factor2.theta.size), Q1, Q2)
-    p, *_ = np.linalg.lstsq(M, -rhs, rcond=1e-10)
-    return p
+    R = np.linalg.qr(np.column_stack([_jacobian(s, Q1, Q2, fd_step), rhs]), mode="r")
+    diag = np.abs(np.diag(R)[:-1])
+    if not np.all(diag > R.shape[0] * np.finfo(float).eps * diag.max()):
+        return None
+    p = np.linalg.solve(R[:-1, :-1], -R[:-1, -1])
+    return p if np.all(np.isfinite(p)) else None
 
 
 def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTrace:
     """Damped Gauss-Newton on the profile unknowns.
 
-    Accepted steps strictly decrease the l2 residual; rank-deficient normal
-    directions are truncated at 1e-10 of the leading singular value; steps
-    that make a profile nonpositive are rejected and damped like any other
-    failed step.
+    Each step is the exact least-squares solution of the compressed
+    system, from one QR factorization (see _gauss_newton_step).  Accepted
+    steps strictly decrease the l2 residual; steps that make a profile
+    nonpositive are rejected and damped like any other failed step.  A
+    numerically singular or non-finite step ends the run as "stalled".
     """
     cfg = cfg or SolverConfig()
     x = _pack(s0)
@@ -248,7 +264,7 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
         lam = 1.0
         norm0 = np.linalg.norm(r)
         accepted = False
-        while lam >= cfg.min_step:
+        while p is not None and lam >= cfg.min_step:
             x_try = x + lam * p
             try:
                 r_try = _residual(s0, x_try)

@@ -119,7 +119,8 @@ class SphereProfile:
 
 def _d1(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
     """Second-order first derivative along the profile grid."""
-    u = np.moveaxis(u, axis, 0)
+    if axis:
+        u = np.moveaxis(u, axis, 0)
     h = p.h
     if p.kind == "flat-torus":
         out = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2 * h)
@@ -128,12 +129,13 @@ def _d1(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
         out[1:-1] = (u[2:] - u[:-2]) / (2 * h)
         out[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
         out[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(out, 0, axis) if axis else out
 
 
 def _d2(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
     """Second-order second derivative along the profile grid."""
-    u = np.moveaxis(u, axis, 0)
+    if axis:
+        u = np.moveaxis(u, axis, 0)
     h2 = p.h * p.h
     if p.kind == "flat-torus":
         out = (np.roll(u, -1, axis=0) - 2 * u + np.roll(u, 1, axis=0)) / h2
@@ -144,7 +146,7 @@ def _d2(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
         # central one, so the error field stays smooth across the boundary
         out[0] = (3 * u[0] - 9 * u[1] + 10 * u[2] - 5 * u[3] + u[4]) / h2
         out[-1] = (3 * u[-1] - 9 * u[-2] + 10 * u[-3] - 5 * u[-4] + u[-5]) / h2
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(out, 0, axis) if axis else out
 
 
 def gauss_curvature(p: SphereProfile) -> np.ndarray:

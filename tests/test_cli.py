@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from bhe import toric
+from bhe import solver, toric
 from bhe.cli import format_row, main, write_atomic, write_csv
 
 
@@ -81,6 +81,20 @@ class TestPde:
         assert trace["final_residual_sup"] < 1e-8
         history = read(out / "history.csv").decode()
         assert history.splitlines()[0] == "iteration,residual,step"
+
+    def test_singular_step_exit_1(self, tmp_path, monkeypatch):
+        jacobian = solver._jacobian
+
+        def duplicated_column(*args):
+            M = jacobian(*args)
+            M[:, 1] = M[:, 0]
+            return M
+
+        monkeypatch.setattr(solver, "_jacobian", duplicated_column)
+        cfg = write_config(tmp_path, perturb_eps=0.01)
+        out = tmp_path / "solve"
+        assert main(["pde", "solve", "--config", cfg, "--out", str(out)]) == 1
+        assert json.loads(read(out / "trace.json"))["flag"] == "stalled"
 
     def test_unequal_areas_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, c2=1.0)

@@ -10,6 +10,7 @@ from bhe.forms import (
     DegreeOverflowError,
     FormTensor,
     MetricFrame,
+    ValidationError,
     hodge_star,
     inner,
     interior_product,
@@ -263,6 +264,12 @@ class TestTypeDecompose:
         with pytest.raises(ValueError):
             type_decompose(b, np.eye(4))
 
+    def test_rejects_nan_complex_structure(self):
+        J = self._J()
+        J[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            type_decompose(basis_form((0, 1), 4), J)
+
 
 class TestInterior:
     def test_contraction_matches_slot_evaluation(self):
@@ -305,3 +312,9 @@ class TestValidation:
     def test_metric_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             MetricFrame(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
+    def test_metric_rejects_overflowing_volume(self):
+        # det g = 1e360 overflows, so sqrt(det g) and any Hodge star are not finite
+        with pytest.raises(ValidationError):
+            MetricFrame(1e60 * np.eye(6))

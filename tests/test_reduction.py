@@ -46,6 +46,15 @@ class TestReduce:
         with pytest.raises(ValidationError):
             reduction.reduce(catalog.build_model("perturbed-control"))
 
+    def test_nan_invariant_rejected(self, monkeypatch):
+        def nan_parts(b, J):
+            nan = FormTensor._of(2, b.dim, np.full(b.components.shape, np.nan))
+            return nan, nan
+
+        monkeypatch.setattr(reduction, "type_decompose", nan_parts)
+        with pytest.raises(ValidationError, match="F_V_type11"):
+            reduction.reduce(catalog.build_model("su2xsu2"))
+
     def test_scaling_is_recovered(self):
         # reduce() must renormalize arbitrary positive rescalings
         m = catalog.build_model("su2xsu2")

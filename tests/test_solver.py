@@ -81,6 +81,21 @@ class TestCompressedStep:
         assert M.shape == (Btr.size, p.size)
         assert np.max(np.abs(M - BtJ)) <= 1e-12 * np.max(np.abs(BtJ))
 
+    def test_step_keeps_every_direction_at_n1024(self):
+        # cond(B^T J) grows like n^4; a step that truncates small singular
+        # values leaves genuine directions unsolved (relative 0.041 here)
+        c, n = 2.2, 1024
+        f = SphereProfile.round_perturbed(c, n, 0.013)
+        s0 = ProductSurface(f, f, 1.0 / c)
+        x = solver._pack(s0)
+        s = solver._unpack(s0, x)
+        r = solver._residual(s0, x)
+        p = solver._gauss_newton_step(s, r, 1e-6)
+        Q1, Q2 = (solver._span_basis(k) for k in toric.ricci_form_coeffs(s))
+        M = solver._jacobian(s, Q1, Q2, 1e-6)
+        rhs = solver._compress(r.reshape(n + 1, n + 1), Q1, Q2)
+        assert np.linalg.norm(M @ p + rhs) <= 0.03 * np.linalg.norm(rhs)
+
 
 class TestGaussNewton:
     def test_exact_start_flags_at_floor(self):
@@ -103,6 +118,19 @@ class TestGaussNewton:
         trace = newton_solve(s)
         assert trace.flag == "stalled"
         assert trace.final_residual > 0.1
+
+    def test_singular_step_stalls(self, monkeypatch):
+        jacobian = solver._jacobian
+
+        def duplicated_column(*args):
+            M = jacobian(*args)
+            M[:, 1] = M[:, 0]
+            return M
+
+        monkeypatch.setattr(solver, "_jacobian", duplicated_column)
+        trace = newton_solve(perturbed_surface(n=32))
+        assert trace.flag == "stalled"
+        assert trace.iterations == 0
 
     def test_accepted_steps_never_increase_residual(self):
         trace = newton_solve(perturbed_surface())
