@@ -1,26 +1,22 @@
-"""The shipped model catalog and its JSON serialization.
+"""The shipped model catalog, built in code.
 
 Four geometries: the two bi-invariant Bismut-flat threefold families, the
 Bismut-flat Hopf surface, and a flat Kahler control, each normalized so the
 Lee vector field is unit length.  A deterministically perturbed copy of the
 first model serves as the negative control.
 
-Serialized schema (UTF-8 JSON):
-    {"name": str, "dim": int, "c": [[i, j, k, value], ...] with i < j,
-     "g": row-major list, "J": row-major list, "f": float}
+Each model is built on first request and then shared: ``get_model`` and
+``load_catalog`` hand out the same objects, so cached geometry persists.
+Only the perturbed control draws random numbers, so asking for any other
+model leaves ``numpy.random`` unimported.
 """
 
 from __future__ import annotations
-
-import json
-from importlib import resources
 
 import numpy as np
 
 from .forms import MetricFrame
 from .frame_geometry import HermitianModel, StructureAlgebra
-
-MODEL_NAMES = ("su2xsu2", "su2xRxC", "hopf", "flat-torus", "perturbed-control")
 
 
 def _su2_block(c: np.ndarray, i0: int) -> None:
@@ -98,78 +94,48 @@ def random_compatible_metric(J: np.ndarray, rng: np.random.Generator) -> MetricF
     return MetricFrame(0.5 * (P + J.T @ P @ J))
 
 
-def _builders() -> dict:
-    base = {
-        "su2xsu2": _build_su2xsu2,
-        "su2xRxC": _build_su2xrxc,
-        "hopf": _build_hopf,
-        "flat-torus": _build_flat_torus,
-    }
-    return base
+def _build_perturbed_control() -> HermitianModel:
+    return perturbed_model(_build_su2xsu2(), 1e-2, name="perturbed-control")
+
+
+_BUILDERS = {
+    "su2xsu2": _build_su2xsu2,
+    "su2xRxC": _build_su2xrxc,
+    "hopf": _build_hopf,
+    "flat-torus": _build_flat_torus,
+    "perturbed-control": _build_perturbed_control,
+}
+
+MODEL_NAMES = tuple(_BUILDERS)
 
 
 def build_model(name: str) -> HermitianModel:
-    builders = _builders()
-    if name in builders:
-        return builders[name]()
-    if name == "perturbed-control":
-        return perturbed_model(_build_su2xsu2(), 1e-2, name="perturbed-control")
-    raise KeyError(f"unknown model {name!r}; catalog: {', '.join(MODEL_NAMES)}")
+    """A fresh model, with its own empty geometry cache."""
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown model {name!r}; catalog: {', '.join(MODEL_NAMES)}")
+    return _BUILDERS[name]()
 
 
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
+_SHARED: dict[str, HermitianModel] = {}
 
 
-def model_to_dict(m: HermitianModel) -> dict:
-    n = m.dim
-    triples = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                v = m.algebra.c[i, j, k]
-                if v != 0.0:
-                    triples.append([i, j, k, float(v)])
-    return {
-        "name": m.name,
-        "dim": n,
-        "c": triples,
-        "g": [float(x) for x in m.metric.g.ravel()],
-        "J": [float(x) for x in m.J.ravel()],
-        "f": float(m.f),
-    }
-
-
-def model_from_dict(d: dict) -> HermitianModel:
-    n = int(d["dim"])
-    c = np.zeros((n, n, n))
-    for i, j, k, v in d["c"]:
-        c[int(i), int(j), int(k)] = float(v)
-        c[int(j), int(i), int(k)] = -float(v)
-    g = np.array(d["g"], dtype=float).reshape(n, n)
-    J = np.array(d["J"], dtype=float).reshape(n, n)
-    return HermitianModel(
-        StructureAlgebra(c), MetricFrame(g), J, f=float(d.get("f", 0.0)),
-        name=str(d.get("name", "")),
-    )
-
-
-_CATALOG_CACHE: dict[str, HermitianModel] | None = None
-
-
-def load_catalog() -> dict[str, HermitianModel]:
-    """Catalog keyed by name, loaded from the shipped JSON data file."""
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is None:
-        text = resources.files("bhe").joinpath("data/catalog.json").read_text("utf-8")
-        data = json.loads(text)
-        _CATALOG_CACHE = {d["name"]: model_from_dict(d) for d in data["models"]}
-    return dict(_CATALOG_CACHE)
+def _shared(name: str) -> HermitianModel:
+    # load_catalog calls this, not get_model, so a wrapper around get_model
+    # counts direct requests only.  setdefault keeps the first of two
+    # concurrent builds, so every caller gets the same object.
+    if name not in _SHARED:
+        _SHARED.setdefault(name, build_model(name))
+    return _SHARED[name]
 
 
 def get_model(name: str) -> HermitianModel:
-    cat = load_catalog()
-    if name not in cat:
-        raise KeyError(f"unknown model {name!r}; catalog: {', '.join(sorted(cat))}")
-    return cat[name]
+    """The shared model of that name, built on first request.
+
+    Every call returns the same object, so its cached geometry is reused.
+    """
+    return _shared(name)
+
+
+def load_catalog() -> dict[str, HermitianModel]:
+    """The shared models of every name, keyed by name."""
+    return {name: _shared(name) for name in MODEL_NAMES}

@@ -167,6 +167,10 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in ("verify", "reduce", "pde-solve", "pde-residual", "converge"):
             raise ValidationError(f"unrecognized command {self.command!r}")
+        if self.command in ("verify", "reduce") and self.model not in catalog.MODEL_NAMES:
+            raise ValidationError(
+                f"unknown model {self.model!r}; catalog: {', '.join(catalog.MODEL_NAMES)}"
+            )
         for name in ("n", "max_iterations"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -512,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = RunConfig(**{**cfg.__dict__, "out": args.out})
             return run_converge(cfg)
         raise ValidationError(f"unrecognized command {args.command!r}")
-    except (ValidationError, KahlerInputError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, KahlerInputError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"bhe: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

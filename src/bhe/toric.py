@@ -127,9 +127,13 @@ def _d1(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
     else:
         out = np.empty_like(u)
         out[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-        out[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
-        out[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
+        out[0], out[-1] = _pole_d1(u, h)
     return np.moveaxis(out, 0, axis) if axis else out
+
+
+def _pole_d1(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided second-order first derivative at rows 0 and -1 of u."""
+    return (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h), (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
 
 
 def _d2(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -179,10 +183,10 @@ def sphere_flux_laplacian(p: SphereProfile, theta: np.ndarray, u: np.ndarray) ->
     flux = half * (u[1:] - u[:-1]) / h
     out = np.empty_like(u)
     out[1:-1] = (flux[1:] - flux[:-1]) / h
-    dth = _d1(p, theta)
-    du = _d1(p, u)
-    out[0] = dth[0] * du[0]
-    out[-1] = dth[-1] * du[-1]
+    dth0, dth1 = _pole_d1(theta, h)
+    du0, du1 = _pole_d1(u, h)
+    out[0] = dth0 * du0
+    out[-1] = dth1 * du1
     return out
 
 
@@ -213,12 +217,6 @@ class ProductSurface:
 def ricci_form_coeffs(s: ProductSurface) -> tuple[np.ndarray, np.ndarray]:
     """rho = kappa1 omega_1 + kappa2 omega_2 in the product ansatz."""
     return gauss_curvature(s.factor1), gauss_curvature(s.factor2)
-
-
-def scalar_curvature(s: ProductSurface) -> np.ndarray:
-    """R = 2 kappa1 + 2 kappa2 on the tensor grid."""
-    k1, k2 = ricci_form_coeffs(s)
-    return 2.0 * k1[:, None] + 2.0 * k2[None, :]
 
 
 def invariant_laplacian(s: ProductSurface, h: np.ndarray) -> np.ndarray:

@@ -1,28 +1,29 @@
-"""Catalog content and its JSON serialization."""
+"""Catalog content: one name -> builder table, shared models built on demand."""
 
-import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from bhe import catalog
-from bhe.frame_geometry import ValidationError
 
 
 class TestContent:
     def test_all_models_load(self):
         cat = catalog.load_catalog()
-        assert set(cat) == set(catalog.MODEL_NAMES)
+        # the benchmark's task mix iterates MODEL_NAMES, so the order is fixed
+        assert tuple(cat) == catalog.MODEL_NAMES == (
+            "su2xsu2", "su2xRxC", "hopf", "flat-torus", "perturbed-control",
+        )
 
-    def test_shipped_file_matches_builders(self):
+    def test_shared_models_are_one_object(self):
         cat = catalog.load_catalog()
         for name in catalog.MODEL_NAMES:
-            built = catalog.build_model(name)
-            loaded = cat[name]
-            assert np.array_equal(built.algebra.c, loaded.algebra.c)
-            assert np.array_equal(built.metric.g, loaded.metric.g)
-            assert np.array_equal(built.J, loaded.J)
-            assert built.f == loaded.f
+            m = catalog.get_model(name)
+            assert catalog.get_model(name) is m and cat[name] is m
+            assert catalog.build_model(name) is not m
 
     def test_normalization_unit_lee_vector(self):
         from bhe.frame_geometry import lee_vector
@@ -37,24 +38,23 @@ class TestContent:
             catalog.get_model("nonexistent")
 
 
-class TestSerialization:
-    def test_round_trip_preserves_arrays(self):
-        m = catalog.build_model("perturbed-control")
-        d = catalog.model_to_dict(m)
-        m2 = catalog.model_from_dict(json.loads(json.dumps(d)))
-        assert np.array_equal(m.metric.g, m2.metric.g)
-        assert np.array_equal(m.J, m2.J)
-        assert np.array_equal(m.algebra.c, m2.algebra.c)
+_RANDOM_PROBE = """
+import sys
+from bhe import catalog
+catalog.get_model(sys.argv[1])
+print("numpy.random" in sys.modules)
+"""
 
-    def test_sparse_triples_upper_indices_only(self):
-        d = catalog.model_to_dict(catalog.build_model("su2xsu2"))
-        assert all(i < j for i, j, _, _ in d["c"])
 
-    def test_corrupt_data_rejected(self):
-        d = catalog.model_to_dict(catalog.build_model("su2xsu2"))
-        d["c"].append([0, 3, 2, 1.0])  # cross-factor bracket breaks Jacobi
-        with pytest.raises(ValidationError):
-            catalog.model_from_dict(d)
+@pytest.mark.parametrize("name, loaded", [("su2xsu2", "False"), ("perturbed-control", "True")])
+def test_numpy_random_only_for_the_perturbed_control(name, loaded):
+    # only the perturbed control draws random numbers; asking for any other
+    # model in a fresh interpreter must not pay for importing numpy.random
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _RANDOM_PROBE, name], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == loaded
 
 
 class TestGenerators:

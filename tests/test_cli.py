@@ -45,8 +45,15 @@ class TestVerify:
         assert by_name["bismut_ricci_flat"]["residual"] > 1e-4
         assert by_name["bismut_ricci_flat"]["pass"] is False
 
-    def test_unknown_model_exit_2(self, tmp_path):
-        assert main(["verify", "--model", "zzz", "--out", str(tmp_path)]) == 2
+    def test_unknown_model_exit_2(self, tmp_path, capsys):
+        line = (
+            "bhe: invalid input: unknown model 'zzz'; "
+            "catalog: su2xsu2, su2xRxC, hopf, flat-torus, perturbed-control\n"
+        )
+        for command in ("verify", "reduce"):
+            assert main([command, "--model", "zzz", "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == line
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReduce:
