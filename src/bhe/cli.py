@@ -12,8 +12,15 @@ runs produce byte-identical artifacts.  Exit codes: 0 pass, 1 tolerance
 failure, 2 invalid input.
 
 ``residual.csv`` holds a header plus (n+1)^2 rows ``z1,z2,E`` in z1-major
-order (a flat-torus factor has n nodes, not n+1).  It is streamed one grid
-row at a time, so writing it takes O(n) extra memory.
+order (a flat-torus factor has n nodes, not n+1).  It is streamed in blocks
+of whole grid rows with at most 2**13 values, about 2.5 MB of extra memory
+at any n.  A block's floats are printed by a vectorized numpy kernel
+(``bhe._format``), exactly rounded and byte-identical to ``"%.16e" % x``:
+it scales |x| by a power of ten in longdouble and reads off the 17 digits
+wherever a proven error bound decides the rounding.  The values it cannot
+decide fall back to Python's ``%``: 0 and -0, nan and +-inf, and values
+within the bound of a rounding tie (about 1% of a residual field).  Where
+longdouble is plain double, every value falls back.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import catalog, reduction, solver, toric
+from . import _format, catalog, reduction, solver, toric
 from .frame_geometry import (
     HermitianModel,
     KahlerInputError,
@@ -44,6 +51,7 @@ from .frame_geometry import (
 from .report import Report
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID = 0, 1, 2
+_BLOCK_VALUES = 1 << 13  # residual.csv values formatted per block
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +139,7 @@ def write_csv(path: str, header: list[str], lines) -> None:
     """Write the ``header`` line, then the text chunks of ``lines``, atomically.
 
     Each chunk holds whole lines that end in a newline: one ``format_row``
-    line, or a block such as one grid row of ``_residual_lines``.  Chunks
+    line, or a block of grid rows from ``_residual_lines``.  Chunks
     are streamed to the file as they come, never joined into one string.
     """
 
@@ -193,6 +201,8 @@ class RunConfig:
 def _surface_config(path: str, command: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValidationError("config must be a JSON object")
     known = {
         "c1", "c2", "kind1", "kind2", "a", "n",
         "perturb_eps", "perturb_mode", "solver_tol", "max_iterations",
@@ -323,17 +333,26 @@ def _surface_rows(s: toric.ProductSurface) -> list[tuple]:
 
 
 def _residual_lines(field: toric.PdeResidualField):
-    """``z1,z2,E`` lines in z1-major order, one chunk per z1 node.
+    """``z1,z2,E`` lines in z1-major order, one chunk per block of grid rows.
 
-    Each node is formatted once and each grid row's E values by a single
-    ``%`` call, so the text equals ``format_row`` on every (z1, z2, E)
-    while the extra memory stays one grid row.
+    A block holds whole grid rows and at most ``_BLOCK_VALUES`` values, or
+    a single row if one row is longer.  Its
+    lines are laid out as a matrix of NUL-padded ``_format.e16_cells`` and
+    compacted by one ``translate``, so the text equals ``format_row`` on
+    every (z1, z2, E) while the extra memory stays one block.
     """
-    z2_cells = ["%.16e,%%.16e" % z for z in field.z2.tolist()]
-    for i, z1 in enumerate(field.z1.tolist()):
-        head = "%.16e," % z1
-        template = head + ("\n" + head).join(z2_cells) + "\n"
-        yield template % tuple(field.E[i].tolist())
+    z1 = _format.e16_cells(field.z1, ",")
+    z2 = _format.e16_cells(field.z2, ",")
+    n2 = field.E.shape[1]
+    rows = max(1, _BLOCK_VALUES // n2)
+    for i in range(0, len(z1), rows):
+        E = field.E[i : i + rows]
+        buf = bytearray(3 * E.size * _format.CELL.itemsize)
+        lines = np.frombuffer(buf, _format.CELL).reshape(*E.shape, 3)
+        lines[:, :, 0] = z1[i : i + len(E), None]
+        lines[:, :, 1] = z2
+        lines[:, :, 2] = _format.e16_cells(E, "\n").reshape(E.shape)
+        yield buf.translate(None, b"\0").decode("ascii")
 
 
 def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> toric.PdeResidualField:

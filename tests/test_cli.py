@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from bhe import solver, toric
+from bhe import cli, solver, toric
 from bhe.cli import format_row, main, write_atomic, write_csv
 
 
@@ -147,6 +147,18 @@ def test_tolerance_key_rejected(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"x"', "[1]"], ids=["int", "null", "str", "list"])
+@pytest.mark.parametrize(
+    "command", [["pde", "residual"], ["pde", "solve"], ["converge"]], ids=lambda c: "-".join(c)
+)
+def test_non_object_config_exit_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "bhe: invalid input: config must be a JSON object\n"
+    assert not (tmp_path / "x").exists()
+
+
 class TestConverge:
     def test_orders_reported(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -209,31 +221,56 @@ class TestCsvWriter:
         assert read(path) == reference_csv(["a", "b", "c", "d"], rows)
 
     @pytest.mark.parametrize(
-        "body, factors",
+        "n, body, factors",
         [
-            (
-                {"a": 0.5, "perturb_eps": 0.01},
-                lambda: [toric.SphereProfile.round_perturbed(2.0, 32, 0.01)] * 2,
-            ),
-            (
-                {"c1": 1.0, "c2": 1.0, "kind2": "flat-torus", "a": 0.0, "perturb_eps": 0.01},
-                lambda: [toric.SphereProfile.round_perturbed(1.0, 32, 0.01),
-                         toric.SphereProfile.flat(1.0, 32)],
-            ),
+            pytest.param(n, body, factors, id=name + suffix)
+            for n, suffix in ((32, ""), (256, "-n256"))
+            for name, body, factors in (
+                (
+                    "sphere-x-sphere-perturbed",
+                    {"a": 0.5, "perturb_eps": 0.01},
+                    lambda n: [toric.SphereProfile.round_perturbed(2.0, n, 0.01)] * 2,
+                ),
+                (
+                    "sphere-x-flat",
+                    {"c1": 1.0, "c2": 1.0, "kind2": "flat-torus", "a": 0.0, "perturb_eps": 0.01},
+                    lambda n: [toric.SphereProfile.round_perturbed(1.0, n, 0.01),
+                               toric.SphereProfile.flat(1.0, n)],
+                ),
+            )
         ],
-        ids=["sphere-x-sphere-perturbed", "sphere-x-flat"],
     )
-    def test_residual_csv_matches_reference(self, tmp_path, body, factors):
-        cfg = write_config(tmp_path, n=32, **body)
+    def test_residual_csv_matches_reference(self, tmp_path, n, body, factors):
+        # n=256 spans several blocks of grid rows and a partial last block.
+        cfg = write_config(tmp_path, n=n, **body)
         out = tmp_path / "res"
         assert main(["pde", "residual", "--config", cfg, "--out", str(out)]) == 0
-        field = toric.pde_residual(toric.ProductSurface(*factors(), body["a"]))
+        field = toric.pde_residual(toric.ProductSurface(*factors(n), body["a"]))
         rows = [
             (float(z1), float(z2), float(field.E[i, j]))
             for i, z1 in enumerate(field.z1)
             for j, z2 in enumerate(field.z2)
         ]
         assert read(out / "residual.csv") == reference_csv(["z1", "z2", "E"], rows)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_residual_lines_special_values(self, monkeypatch, block):
+        # Blocks of one value, of a partial row and of the whole field.
+        monkeypatch.setattr(cli, "_BLOCK_VALUES", block)
+        z1 = np.array([-0.0, 5e-324, 1e200, -2.5e-308])
+        z2 = np.array([np.nan, -np.inf, 0.0, 1.7976931348623157e308, -1e-100])
+        E = np.array(
+            [
+                [np.nan, np.inf, -np.inf, -0.0, 0.0],
+                [5e-324, -2.2250738585072014e-308, 1e-300, -1e-100, 1.0 + 2.0**-17],
+                [1e150, -123.456, 9.999999999999999e-5, 0.1, -1e-10],
+                [1e-5, 3.0e-320, -1e99, 1e100, 0.5],
+            ]
+        )
+        field = toric.PdeResidualField(E, z1, z2)
+        rows = [(z1[i], z2[j], E[i, j]) for i in range(4) for j in range(5)]
+        text = "".join(cli._residual_lines(field)).encode()
+        assert b"z1,z2,E\n" + text == reference_csv(["z1", "z2", "E"], rows)
 
 
 class TestAtomicWrite:
