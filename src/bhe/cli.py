@@ -26,6 +26,7 @@ longdouble is plain double, every value falls back.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -96,20 +97,20 @@ def _to_json(obj, indent: int = 0) -> str:
 
 
 def write_atomic(path: str, chunks) -> None:
-    """Write ``chunks`` (one string, or an iterable of strings) to ``path``.
+    """Write ``chunks`` (one bytes object, or an iterable of bytes-like chunks) to ``path``.
 
-    The chunks are streamed into a temporary file in the same directory,
-    which replaces ``path`` only after the last chunk is written.  If
-    anything raises on the way, the temporary file is removed and ``path``
-    keeps its old contents.
+    The chunks are streamed into a temporary binary file in the same
+    directory, which replaces ``path`` only after the last chunk is written.
+    If anything raises on the way, the temporary file is removed and
+    ``path`` keeps its old contents.
     """
-    if isinstance(chunks, str):
+    if isinstance(chunks, bytes):
         chunks = (chunks,)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -119,7 +120,7 @@ def write_atomic(path: str, chunks) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    write_atomic(path, _to_json(obj) + "\n")
+    write_atomic(path, (_to_json(obj) + "\n").encode("utf-8"))
 
 
 def format_row(row: tuple) -> str:
@@ -136,16 +137,18 @@ def format_row(row: tuple) -> str:
 
 
 def write_csv(path: str, header: list[str], lines) -> None:
-    """Write the ``header`` line, then the text chunks of ``lines``, atomically.
+    """Write the ``header`` line, then the chunks of ``lines``, atomically.
 
     Each chunk holds whole lines that end in a newline: one ``format_row``
-    line, or a block of grid rows from ``_residual_lines``.  Chunks
-    are streamed to the file as they come, never joined into one string.
+    line (text, encoded here once), or a block of grid rows from
+    ``_residual_lines`` (ASCII bytes, written as they are).  Chunks are
+    streamed to the file as they come, never joined into one string.
     """
 
     def chunks():
-        yield ",".join(header) + "\n"
-        yield from lines
+        yield (",".join(header) + "\n").encode("utf-8")
+        for chunk in lines:
+            yield chunk.encode("utf-8") if isinstance(chunk, str) else chunk
 
     write_atomic(path, chunks())
 
@@ -238,7 +241,7 @@ def model_report(m: HermitianModel) -> Report:
     """Every identity check that applies to the given model."""
     rep = Report(m.name)
     rep.record("jacobi_identity", m.algebra.jacobi_residual())
-    rep.record("complex_structure_integrable", float(np.max(np.abs(nijenhuis(m.algebra, m.J)))))
+    rep.record("complex_structure_integrable", float(np.abs(nijenhuis(m.algebra, m.J)).max()))
     geo = m.geometry
     t1, t2 = geo.lee_pair
     rep.record("lee_form_agreement", (t1 - t2).sup_norm())
@@ -247,12 +250,12 @@ def model_report(m: HermitianModel) -> Report:
     dH = exterior_derivative(H, m.algebra)
     rep.record("pluriclosed", dH.sup_norm())
     gb = geo.bismut
-    rep.record("bismut_parallel_torsion", float(np.max(np.abs(covariant_derivative(H.components, gb)))))
+    rep.record("bismut_parallel_torsion", float(np.abs(covariant_derivative(H.components, gb)).max()))
     V = m.sharp(t1)
     eta = m.metric.g @ V
     jeta = m.metric.g @ (m.J @ V)
-    rep.record("bismut_parallel_V", float(np.max(np.abs(covariant_derivative(eta, gb)))))
-    rep.record("bismut_parallel_JV", float(np.max(np.abs(covariant_derivative(jeta, gb)))))
+    rep.record("bismut_parallel_V", float(np.abs(covariant_derivative(eta, gb)).max()))
+    rep.record("bismut_parallel_JV", float(np.abs(covariant_derivative(jeta, gb)).max()))
     rep.record("gauduchon", gauduchon_residual(m))
     pluriclosed = dH.sup_norm() <= 1e-10 * max(1.0, H.sup_norm())
     if pluriclosed:
@@ -333,13 +336,14 @@ def _surface_rows(s: toric.ProductSurface) -> list[tuple]:
 
 
 def _residual_lines(field: toric.PdeResidualField):
-    """``z1,z2,E`` lines in z1-major order, one chunk per block of grid rows.
+    """``z1,z2,E`` lines in z1-major order, one ASCII bytes chunk per block of grid rows.
 
     A block holds whole grid rows and at most ``_BLOCK_VALUES`` values, or
     a single row if one row is longer.  Its
     lines are laid out as a matrix of NUL-padded ``_format.e16_cells`` and
-    compacted by one ``translate``, so the text equals ``format_row`` on
-    every (z1, z2, E) while the extra memory stays one block.
+    compacted by one ``translate``, so the bytes equal the encoded
+    ``format_row`` text of every (z1, z2, E) while the extra memory stays
+    one block.  The ``bytearray`` goes to the file as it is, never decoded.
     """
     z1 = _format.e16_cells(field.z1, ",")
     z2 = _format.e16_cells(field.z2, ",")
@@ -352,7 +356,7 @@ def _residual_lines(field: toric.PdeResidualField):
         lines[:, :, 0] = z1[i : i + len(E), None]
         lines[:, :, 1] = z2
         lines[:, :, 2] = _format.e16_cells(E, "\n").reshape(E.shape)
-        yield buf.translate(None, b"\0").decode("ascii")
+        yield buf.translate(None, b"\0")
 
 
 def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> toric.PdeResidualField:
@@ -487,7 +491,9 @@ def run_converge(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(prog="bhe", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -40,8 +40,8 @@ def _antisym_defect(components: np.ndarray) -> float:
         return 0.0
     defect = 0.0
     for axis in range(k - 1):
-        swapped = np.swapaxes(components, axis, axis + 1)
-        defect = max(defect, float(np.max(np.abs(components + swapped))))
+        swapped = components.swapaxes(axis, axis + 1)
+        defect = max(defect, float(np.abs(components + swapped).max()))
     return defect
 
 
@@ -63,9 +63,9 @@ class FormTensor:
         expected = () if self.degree == 0 else (self.dim,) * self.degree
         if comp.shape != expected:
             raise ValueError(f"components shape {comp.shape}, expected {expected}")
-        if not np.all(np.isfinite(comp)):
+        if not np.isfinite(comp).all():
             raise ValueError("components not finite")
-        scale = max(1.0, float(np.max(np.abs(comp))) if comp.size else 0.0)
+        scale = max(1.0, float(np.abs(comp).max()) if comp.size else 0.0)
         defect = _antisym_defect(comp)
         if not defect <= 1e-10 * scale:
             raise ValueError(f"components not antisymmetric (defect {defect:.3e})")
@@ -109,7 +109,7 @@ class FormTensor:
             raise ValueError("form degree/dimension mismatch")
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.components))) if self.components.size else 0.0
+        return float(np.abs(self.components).max()) if self.components.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,9 @@ class MetricFrame:
         object.__setattr__(self, "g", g)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("metric must be a square matrix")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("metric has non-finite entries")
-        if not np.max(np.abs(g - g.T)) <= 1e-12 * max(1.0, np.max(np.abs(g))):
+        if not np.abs(g - g.T).max() <= 1e-12 * max(1.0, np.abs(g).max()):
             raise ValueError("metric not symmetric")
         eigs = np.linalg.eigvalsh(g)
         if eigs[0] <= 0:
@@ -257,7 +257,7 @@ def type_decompose(b: FormTensor, J: np.ndarray) -> tuple[FormTensor, FormTensor
     """Split a 2-form into its J-invariant and J-anti-invariant parts."""
     J = np.asarray(J, dtype=float)
     n = J.shape[0]
-    if not np.max(np.abs(J @ J + np.eye(n))) <= 1e-10:
+    if not np.abs(J @ J + np.eye(n)).max() <= 1e-10:
         raise ValueError("J is not an almost-complex structure (J^2 != -I)")
     if b.degree != 2:
         raise ValueError("type decomposition implemented for 2-forms")

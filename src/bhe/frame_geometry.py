@@ -61,13 +61,13 @@ class StructureAlgebra:
         n = c.shape[0]
         if c.shape != (n, n, n):
             raise ValidationError(f"structure constants shape {c.shape}, expected cube")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValidationError("structure constants not finite")
-        skew = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
-        if not skew <= 1e-12 * max(1.0, np.max(np.abs(c))):
+        skew = np.abs(c + c.swapaxes(0, 1)).max()
+        if not skew <= 1e-12 * max(1.0, np.abs(c).max()):
             raise ValidationError(f"structure constants not antisymmetric (defect {skew:.3e})")
         jac = self.jacobi_residual()
-        if not jac <= 1e-12 * max(1.0, np.max(np.abs(c)) ** 2):
+        if not jac <= 1e-12 * max(1.0, np.abs(c).max() ** 2):
             raise ValidationError(f"Jacobi identity fails (residual {jac:.3e})")
 
     @property
@@ -78,7 +78,7 @@ class StructureAlgebra:
         c = self.c
         term = np.einsum("abe,ecd->abcd", c, c)
         cyc = term + np.einsum("bce,ead->abcd", c, c) + np.einsum("cae,ebd->abcd", c, c)
-        return float(np.max(np.abs(cyc)))
+        return float(np.abs(cyc).max())
 
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.einsum("abm,a,b->m", self.c, u, v)
@@ -114,17 +114,17 @@ class HermitianModel:
         n = self.algebra.dim
         if self.metric.dim != n or J.shape != (n, n):
             raise ValidationError("algebra / metric / J dimensions disagree")
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise ValidationError("J not finite")
-        jj = np.max(np.abs(J @ J + np.eye(n)))
+        jj = np.abs(J @ J + np.eye(n)).max()
         if not jj <= 1e-12:
             raise ValidationError(f"J^2 != -I (defect {jj:.3e})")
         g = self.metric.g
-        compat = np.max(np.abs(J.T @ g @ J - g))
-        if not compat <= 1e-12 * max(1.0, np.max(np.abs(g))):
+        compat = np.abs(J.T @ g @ J - g).max()
+        if not compat <= 1e-12 * max(1.0, np.abs(g).max()):
             raise ValidationError(f"metric not J-compatible (defect {compat:.3e})")
-        nij = np.max(np.abs(nijenhuis(self.algebra, J)))
-        if not nij <= 1e-12 * max(1.0, np.max(np.abs(self.algebra.c))):
+        nij = np.abs(nijenhuis(self.algebra, J)).max()
+        if not nij <= 1e-12 * max(1.0, np.abs(self.algebra.c).max()):
             raise ValidationError(f"J not integrable (Nijenhuis residual {nij:.3e})")
 
     @property
@@ -161,10 +161,10 @@ class ConnectionCoeffs:
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
         object.__setattr__(self, "gamma", gamma)
-        if not np.all(np.isfinite(gamma)):
+        if not np.isfinite(gamma).all():
             raise ValidationError("connection coefficients not finite")
-        defect = np.max(np.abs(gamma + np.swapaxes(gamma, 1, 2)))
-        if not defect <= 1e-10 * max(1.0, np.max(np.abs(gamma))):
+        defect = np.abs(gamma + gamma.swapaxes(1, 2)).max()
+        if not defect <= 1e-10 * max(1.0, np.abs(gamma).max()):
             raise ValidationError(f"connection not metric (defect {defect:.3e})")
 
     @property
@@ -172,8 +172,17 @@ class ConnectionCoeffs:
         return self.gamma.shape[0]
 
     def raised(self) -> np.ndarray:
-        """Gamma[a, b, m] with the last index raised: nabla_a e_b = G[a,b,m] e_m."""
-        return np.einsum("abc,cm->abm", self.gamma, self.metric.inv)
+        """Gamma[a, b, m] with the last index raised: nabla_a e_b = G[a,b,m] e_m.
+
+        Computed once per connection; the array is read-only.
+        """
+        return self._raised
+
+    @cached_property
+    def _raised(self) -> np.ndarray:
+        G = np.einsum("abc,cm->abm", self.gamma, self.metric.inv)
+        G.flags.writeable = False
+        return G
 
 
 @dataclass(frozen=True)
@@ -185,16 +194,16 @@ class CurvatureTensor:
     def __post_init__(self):
         R = np.asarray(self.R, dtype=float)
         object.__setattr__(self, "R", R)
-        if not np.all(np.isfinite(R)):
+        if not np.isfinite(R).all():
             raise ValidationError("curvature not finite")
-        scale = max(1.0, np.max(np.abs(R)))
-        d1 = np.max(np.abs(R + np.swapaxes(R, 0, 1)))
-        d2 = np.max(np.abs(R + np.swapaxes(R, 2, 3)))
+        scale = max(1.0, np.abs(R).max())
+        d1 = np.abs(R + R.swapaxes(0, 1)).max()
+        d2 = np.abs(R + R.swapaxes(2, 3)).max()
         if not (d1 <= 1e-10 * scale and d2 <= 1e-10 * scale):
             raise ValidationError("curvature lacks antisymmetry in (a,b) or (c,d)")
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.R)))
+        return float(np.abs(self.R).max())
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +223,7 @@ def exterior_derivative(b: FormTensor, algebra: StructureAlgebra) -> FormTensor:
 
 def covariant_derivative(T: np.ndarray, conn: ConnectionCoeffs) -> np.ndarray:
     """(nabla_a T)_{b1..bk} for an all-lower-index invariant tensor."""
-    T = np.asarray(T, dtype=float)
-    G = conn.raised()
-    out = np.zeros((conn.dim,) + T.shape)
-    for slot in range(T.ndim):
-        contr = np.tensordot(G, T, axes=([2], [slot]))  # axes: a, b_slot, rest
-        contr = np.moveaxis(contr, 1, slot + 1)
-        out -= contr
-    return out
+    return _kernels.connection_core(conn.raised(), np.asarray(T, dtype=float))
 
 
 def codifferential(b: FormTensor, conn: ConnectionCoeffs) -> FormTensor:
@@ -266,7 +268,7 @@ def curvature(conn: ConnectionCoeffs, algebra: StructureAlgebra) -> CurvatureTen
     G = conn.raised()
     quad = np.einsum("bce,aed->abcd", G, conn.gamma)
     brk = np.einsum("abe,ecd->abcd", algebra.c, conn.gamma)
-    R = quad - np.swapaxes(quad, 0, 1) - brk
+    R = quad - quad.swapaxes(0, 1) - brk
     return CurvatureTensor(R)
 
 
@@ -358,8 +360,8 @@ def verify_lrho(m: HermitianModel, pluriclosed_tol: float = 1e-10) -> Report:
     rhs_skew = -0.5 * dstar_H.components + 0.5 * dtheta.components - 0.5 * iota.components
 
     rep = Report("bismut_ricci_identity")
-    rep.record("ricci_form_symmetric_part", np.max(np.abs(lhs_sym - rhs_sym)))
-    rep.record("ricci_form_skew_part", np.max(np.abs(lhs_skew - rhs_skew)))
+    rep.record("ricci_form_symmetric_part", np.abs(lhs_sym - rhs_sym).max())
+    rep.record("ricci_form_skew_part", np.abs(lhs_skew - rhs_skew).max())
     return rep
 
 
@@ -467,10 +469,6 @@ def scale_metric(m: HermitianModel, factor: float) -> HermitianModel:
     )
 
 
-def vector_to_form(X: np.ndarray, g: MetricFrame) -> FormTensor:
-    return FormTensor(1, g.dim, g.g @ np.asarray(X, dtype=float))
-
-
 __all__ = [
     "ValidationError",
     "KahlerInputError",
@@ -499,5 +497,4 @@ __all__ = [
     "verify_lrho",
     "change_frame",
     "scale_metric",
-    "vector_to_form",
 ]

@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from .forms import (
     FormTensor,
     MetricFrame,
@@ -138,17 +139,22 @@ class ReductionData:
 def _horizontal_frame(m: HermitianModel, V: np.ndarray, JV: np.ndarray) -> np.ndarray:
     """Deterministic g-orthonormal basis of the complement of span(V, JV)."""
     g = m.metric.g
-    basis = [V, JV]
+    # each basis vector b with b @ g and b @ g @ b, both evaluated left to right
+    basis = []
+    for b in (V, JV):
+        bg = b @ g
+        basis.append((b, bg, bg @ b))
     cols = []
     for k in range(m.dim):
         cand = np.zeros(m.dim)
         cand[k] = 1.0
-        for b in basis:
-            cand = cand - (b @ g @ cand) / (b @ g @ b) * b
+        for b, bg, bgb in basis:
+            cand = cand - (bg @ cand) / bgb * b
         nrm2 = cand @ g @ cand
         if nrm2 > 1e-8:
             cand = cand / np.sqrt(nrm2)
-            basis.append(cand)
+            bg = cand @ g
+            basis.append((cand, bg, bg @ cand))
             cols.append(cand)
         if len(cols) == m.dim - 2:
             break
@@ -238,7 +244,7 @@ def torsion_split_residual(r: ReductionData) -> Report:
 def _transverse_trace(r: ReductionData, b: FormTensor) -> float:
     """Full double-sum trace of b against omega_T over the horizontal frame."""
     om = r.restrict2(r.omega_T)
-    return float(np.sum(om * r.restrict2(b)))
+    return float((om * r.restrict2(b)).sum())
 
 
 def transverse_lee_form(r: ReductionData) -> np.ndarray:
@@ -254,7 +260,7 @@ def p3_residuals(r: ReductionData) -> Report:
     """Conformally-balanced, Hermitian-Yang-Mills trace, and anomaly checks."""
     m = r.parent
     rep = Report("reduction_structure")
-    rep.record("transverse_lee_is_df", np.max(np.abs(transverse_lee_form(r))))
+    rep.record("transverse_lee_is_df", np.abs(transverse_lee_form(r)).max())
     rep.record("principal_trace_V", _transverse_trace(r, r.F_V))
     tr_jv = _transverse_trace(r, r.F_JV)
     rep.record("principal_trace_JV", tr_jv + 2.0, note=f"tr = {tr_jv!r}")
@@ -295,12 +301,7 @@ def transverse_connection(r: ReductionData) -> np.ndarray:
 
 def _transverse_covariant(gammaT: np.ndarray, T: np.ndarray) -> np.ndarray:
     """(nabla^T_a T)_{b...} in the orthonormal horizontal frame."""
-    out = np.zeros((gammaT.shape[0],) + T.shape)
-    for slot in range(T.ndim):
-        contr = np.tensordot(gammaT, T, axes=([2], [slot]))
-        contr = np.moveaxis(contr, 1, slot + 1)
-        out -= contr
-    return out
+    return _kernels.connection_core(gammaT, T)
 
 
 def dilaton_scalar(r: ReductionData) -> float:
@@ -308,7 +309,7 @@ def dilaton_scalar(r: ReductionData) -> float:
     ht = r.restrict3(r.H_T)
     fv = r.restrict2(r.F_V)
     fjv = r.restrict2(r.F_JV)
-    return float(np.sum(ht * ht) / 6.0 + 0.5 * (np.sum(fv * fv) + np.sum(fjv * fjv)))
+    return float((ht * ht).sum() / 6.0 + 0.5 * ((fv * fv).sum() + (fjv * fjv).sum()))
 
 
 def einstein_maxwell_residual(r: ReductionData, frame_samples: int = 6) -> Report:
@@ -324,7 +325,7 @@ def einstein_maxwell_residual(r: ReductionData, frame_samples: int = 6) -> Repor
     F2 = fv @ fv.T + fjv @ fjv.T  # <i_X F, i_Y F> summed over both curvatures
     rep.record(
         "einstein_maxwell_symmetric",
-        np.max(np.abs(RcT - 0.25 * ht2 - F2)),
+        np.abs(RcT - 0.25 * ht2 - F2).max(),
         note="eigenvalues of Rc^T: " + repr([round(x, 12) for x in np.linalg.eigvalsh(RcT)]),
     )
     rep.record("principal_closed_V", exterior_derivative(r.F_V, m.algebra).sup_norm())
@@ -335,7 +336,7 @@ def einstein_maxwell_residual(r: ReductionData, frame_samples: int = 6) -> Repor
         nab = _transverse_covariant(gammaT, F)
         dstar = -np.einsum("aab->b", nab)
         twist = -0.5 * np.einsum("jab,ab->j", ht, F)
-        rep.record(f"principal_coclosed_{label}", np.max(np.abs(dstar + twist)))
+        rep.record(f"principal_coclosed_{label}", np.abs(dstar + twist).max())
 
     base = dilaton_scalar(r)
     spread = 0.0
@@ -379,7 +380,7 @@ def lemma_suite(r: ReductionData) -> Report:
         ("JV", nab_jeta_B, JV, fjv),
     ):
         lhs = pullback(nab, E, E) + pullback(H.components, vert, E, E)
-        rep.record(f"vertical_christoffel_{label}", np.max(np.abs(lhs - F)))
+        rep.record(f"vertical_christoffel_{label}", np.abs(lhs - F).max())
 
     # horizontal block of the Bismut curvature
     RBh = pullback(RB, E, E, E, E)
@@ -398,19 +399,19 @@ def lemma_suite(r: ReductionData) -> Report:
         + np.einsum("ij,kl->ijkl", fjv, fjv)
         + 0.5 * ht_terms
     )
-    rep.record("curvature_horizontal_block", np.max(np.abs(RBh - rhs_h)))
+    rep.record("curvature_horizontal_block", np.abs(RBh - rhs_h).max())
 
     # vertical-pair block: R^B(V, JV, ., .) against the F commutator
     lhs_vp = pullback(RB, V, JV, E, E)
     rhs_vp = fv @ fjv.T - fjv @ fv.T
-    rep.record("curvature_vertical_pair_block", np.max(np.abs(lhs_vp - rhs_vp)))
+    rep.record("curvature_vertical_pair_block", np.abs(lhs_vp - rhs_vp).max())
 
     # mixed block: R^B(V, X, Y, Z) = -(nabla^B_X F_V)(Y, Z)
     for label, vert, F in (("V", V, r.F_V), ("JV", JV, r.F_JV)):
         lhs = pullback(RB, vert, E, E, E)
         nabF = covariant_derivative(F.components, gb)
         rhs = -pullback(nabF, E, E, E)
-        rep.record(f"curvature_mixed_block_{label}", np.max(np.abs(lhs - rhs)))
+        rep.record(f"curvature_mixed_block_{label}", np.abs(lhs - rhs).max())
 
     # torsion covariant-derivative components (Levi-Civita connection)
     nabH = covariant_derivative(H.components, lc)
@@ -418,34 +419,34 @@ def lemma_suite(r: ReductionData) -> Report:
         lhs = pullback(nabH, E, vert, E, E)
         nabF = covariant_derivative(F.components, lc)
         rhs = pullback(nabF, E, E, E)
-        rep.record(f"torsion_derivative_principal_{label}", np.max(np.abs(lhs - rhs)))
+        rep.record(f"torsion_derivative_principal_{label}", np.abs(lhs - rhs).max())
     lhs_52 = pullback(nabH, E, V, JV, E)
     rhs_52 = -0.5 * lhs_vp
-    rep.record("torsion_derivative_vertical_pair", np.max(np.abs(lhs_52 - rhs_52)))
+    rep.record("torsion_derivative_vertical_pair", np.abs(lhs_52 - rhs_52).max())
     lhs_53 = pullback(nabH, V, JV, E, E)
-    rep.record("torsion_derivative_vertical_direction", np.max(np.abs(lhs_53 - 0.5 * lhs_vp)))
+    rep.record("torsion_derivative_vertical_direction", np.abs(lhs_53 - 0.5 * lhs_vp).max())
 
     # Riemann curvature against Bismut curvature
     for label, vert in (("V", V), ("JV", JV)):
         lhsR = pullback(RM, vert, E, E, E)
         lhsB = pullback(RB, vert, E, E, E)
-        rep.record(f"riemann_vs_bismut_mixed_{label}", np.max(np.abs(lhsR - 0.5 * lhsB)))
+        rep.record(f"riemann_vs_bismut_mixed_{label}", np.abs(lhsR - 0.5 * lhsB).max())
     lhs_62 = pullback(RM, V, JV, E, E)
-    rep.record("riemann_vs_bismut_vertical_pair", np.max(np.abs(lhs_62 - 0.25 * lhs_vp)))
+    rep.record("riemann_vs_bismut_vertical_pair", np.abs(lhs_62 - 0.25 * lhs_vp).max())
     lhs_63 = pullback(RM, V, E, E, JV)
     rhs_63 = 0.25 * np.einsum("jk,ik->ij", fv, fjv)
-    rep.record("riemann_mixed_vertical_pair", np.max(np.abs(lhs_63 - rhs_63)))
-    rep.record("riemann_vertical_pair_vanishes", np.max(np.abs(lhs_62)))
+    rep.record("riemann_mixed_vertical_pair", np.abs(lhs_63 - rhs_63).max())
+    rep.record("riemann_vertical_pair_vanishes", np.abs(lhs_62).max())
 
     # constant principal-curvature norms and the unit norm identity
-    a2 = float(np.sum(fv * fv))
+    a2 = float((fv * fv).sum())
     omega_h = r.restrict2(r.omega_T)
     gamma_h = fjv + 0.5 * omega_h
-    g2 = float(np.sum(gamma_h * gamma_h))
+    g2 = float((gamma_h * gamma_h).sum())
     rep.record(
         "principal_norm_identity",
         a2 + g2 - 1.0,
-        note=f"|F_V|^2 = {a2!r}, |F_JV|^2 = {float(np.sum(fjv * fjv))!r}",
+        note=f"|F_V|^2 = {a2!r}, |F_JV|^2 = {float((fjv * fjv).sum())!r}",
     )
     return rep
 

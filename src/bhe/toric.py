@@ -331,17 +331,18 @@ def p4d_forward(s: ProductSurface) -> tuple[dict, Report]:
     rep = Report("forward_map")
     # conformally balanced: d(e^f) = e^f df along both factors
     res_lee = 0.0
+    df = []  # df along each factor, reused by the anomaly check below
     for axis, p in ((0, s.factor1), (1, s.factor2)):
         lhs = _d1(p, ef, axis=axis)
-        rhs = ef * _d1(p, f, axis=axis)
+        df.append(_d1(p, f, axis=axis))
+        rhs = ef * df[-1]
         res_lee = max(res_lee, float(np.max(np.abs(lhs - rhs))))
     rep.record("transverse_lee_is_df", res_lee)
     rep.record("principal_trace_V", 0.0, note="exact: alpha is primitive in the ansatz")
     rep.record("principal_trace_JV", float(np.max(np.abs(2.0 - np.exp(-f) * R))))
 
     lap_f = invariant_laplacian(s, f)
-    df1 = _d1(s.factor1, f, axis=0)
-    df2 = _d1(s.factor2, f, axis=1)
+    df1, df2 = df
     th1 = s.factor1.theta[:, None]
     th2 = s.factor2.theta[None, :]
     grad2 = th1 * df1**2 + th2 * df2**2

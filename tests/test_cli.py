@@ -269,7 +269,7 @@ class TestCsvWriter:
         )
         field = toric.PdeResidualField(E, z1, z2)
         rows = [(z1[i], z2[j], E[i, j]) for i in range(4) for j in range(5)]
-        text = "".join(cli._residual_lines(field)).encode()
+        text = b"".join(cli._residual_lines(field))
         assert b"z1,z2,E\n" + text == reference_csv(["z1", "z2", "E"], rows)
 
 
@@ -279,8 +279,8 @@ class TestAtomicWrite:
         path.write_bytes(b"z1,z2,E\nold\n")
 
         def chunks():
-            yield "1.0,2.0,3.0\n" * 1000
-            yield "4.0,5.0,6.0\n" * 1000
+            yield b"1.0,2.0,3.0\n" * 1000
+            yield b"4.0,5.0,6.0\n" * 1000
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError, match="row source failed"):
@@ -290,7 +290,7 @@ class TestAtomicWrite:
 
     def test_failing_stream_leaves_no_file(self, tmp_path):
         def chunks():
-            yield "partial\n"
+            yield b"partial\n"
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
@@ -317,6 +317,25 @@ class TestAtomicWrite:
 
         fdopen = os.fdopen
         monkeypatch.setattr(os, "fdopen", lambda *a, **k: Recorder(fdopen(*a, **k)))
-        write_atomic(str(tmp_path / "a.json"), "{}\n")
-        assert writes == ["{}\n"]
+        write_atomic(str(tmp_path / "a.json"), b"{}\n")
+        assert writes == [b"{}\n"]
         assert read(tmp_path / "a.json") == b"{}\n"
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_one_process_runs_commands_in_turn(self, tmp_path, capsys):
+        # the shared parser keeps no state from one call to the next
+        out = tmp_path / "v"
+        assert main(["verify", "--model", "su2xsu2", "--out", str(out)]) == 0
+        assert json.loads(read(out / "report.json"))["pass"] is True
+        cfg = write_config(tmp_path, a=0.0, kind2="flat-torus", c1=1.0, c2=1.0, n=32)
+        assert main(["pde", "residual", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert read(tmp_path / "r" / "residual.csv").count(b"\n") == 33 * 32 + 1
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--out", str(tmp_path / "x")])  # --model is missing
+        assert info.value.code == 2
+        assert "--model" in capsys.readouterr().err
+        assert main(["reduce", "--model", "flat-torus", "--out", str(tmp_path / "k")]) == 2

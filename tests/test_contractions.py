@@ -1,4 +1,5 @@
-"""Callers of the matmul contraction primitive, and the checking constructors."""
+"""Callers of the matmul contraction primitive, the bit-exact kernels, and the
+checking constructors."""
 
 import itertools
 from types import SimpleNamespace
@@ -6,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bhe import catalog
+from bhe import _kernels as K
+from bhe import catalog, reduction
 from bhe import frame_geometry as fg
 from bhe.forms import FormTensor, MetricFrame, j_conjugate, raise_indices, wedge
 
@@ -166,3 +168,178 @@ def test_jacobi_check_overflow_is_not_a_pass():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(fg.ValidationError, match="Jacobi"):
         fg.StructureAlgebra(c)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact kernels: each one against the formulation it replaced
+# ---------------------------------------------------------------------------
+
+
+def _dform_moveaxis(c, b, k):
+    """dform_core as a moveaxis loop with each term multiplied by (-1)^(s+t)."""
+    n = c.shape[0]
+    if k == 0:
+        return np.zeros(n)
+    out = np.zeros((n,) * (k + 1))
+    bracket = np.einsum("abm,m...->ab...", c, b)
+    for s in range(k + 1):
+        for t in range(s + 1, k + 1):
+            out += ((-1) ** (s + t)) * np.moveaxis(bracket, (0, 1), (s, t))
+    return out
+
+
+def _alt_sum_sign_multiply(T):
+    """alt_sum as a loop of np.transpose terms multiplied by their signs."""
+    m = T.ndim
+    if m <= 1:
+        return T.copy()
+    perms, signs = K.perm_table(m)
+    out = np.zeros_like(T)
+    for p, s in zip(perms, signs):
+        out += s * np.transpose(T, axes=tuple(p))
+    return out
+
+
+def _covariant_tensordot(G, T):
+    """-sum over slots of np.tensordot(G, T) with the new axis moved into place."""
+    out = np.zeros((G.shape[0],) + T.shape)
+    for slot in range(T.ndim):
+        contr = np.tensordot(G, T, axes=([2], [slot]))
+        contr = np.moveaxis(contr, 1, slot + 1)
+        out -= contr
+    return out
+
+
+def _horizontal_frame_gram_schmidt(m, V, JV):
+    """Gram-Schmidt against V, JV and the kept columns, every product recomputed."""
+    g = m.metric.g
+    basis = [V, JV]
+    cols = []
+    for k in range(m.dim):
+        cand = np.zeros(m.dim)
+        cand[k] = 1.0
+        for b in basis:
+            cand = cand - (b @ g @ cand) / (b @ g @ b) * b
+        nrm2 = cand @ g @ cand
+        if nrm2 > 1e-8:
+            cand = cand / np.sqrt(nrm2)
+            basis.append(cand)
+            cols.append(cand)
+        if len(cols) == m.dim - 2:
+            break
+    return np.stack(cols, axis=1)
+
+
+def _assert_identical(out, ref):
+    """Equal entry for entry with no tolerance, and zeros carry the same sign."""
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+def _exact_models():
+    """Catalog models (sparse data, many exact zeros) and seeded variants."""
+    models = [catalog.build_model(name) for name in ("su2xsu2", "su2xRxC", "hopf")]
+    for seed in range(3):
+        for name in ("su2xsu2", "su2xRxC"):
+            m = catalog.build_model(name)
+            rng = np.random.default_rng(80 + seed)
+            n = m.dim
+            A = rng.standard_normal((n, n))
+            S = A - A.T
+            S = 0.5 * (S - m.J @ S @ m.J)
+            Q = np.linalg.solve(np.eye(n) - 0.5 * S, np.eye(n) + 0.5 * S)
+            models.append(fg.scale_metric(fg.change_frame(m, Q), float(rng.uniform(0.8, 1.25))))
+    shear = np.eye(6) + 0.05 * np.random.default_rng(90).standard_normal((6, 6))
+    models.append(fg.change_frame(catalog.build_model("su2xsu2"), shear))
+    return models
+
+
+class TestExactKernels:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_dform_core_matches_moveaxis_loop(self, k):
+        rng = np.random.default_rng(100 + k)
+        cases = []
+        for m in _exact_models():
+            geo = m.geometry
+            forms = {1: [geo.V], 2: [geo.omega.components], 3: [geo.H.components]}
+            cases += [(m.algebra.c, b) for b in forms.get(k, [np.zeros(())])]
+            cases.append((m.algebra.c, _random_form(k, m.dim, rng).components))
+        c = rng.standard_normal((6, 6, 6))
+        cases.append((c - c.transpose(1, 0, 2), _random_form(k, 6, rng).components))
+        for c, b in cases:
+            _assert_identical(K.dform_core(c, b, k), _dform_moveaxis(c, b, k))
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 6), (6, 6, 6), (4,) * 4, (3,) * 5])
+    def test_alt_sum_matches_sign_multiply_loop(self, shape):
+        rng = np.random.default_rng(len(shape))
+        T = rng.standard_normal(shape)
+        # exact zeros of both signs, so the sign of a zero sum is checked too
+        T[T < -0.5] = 0.0
+        T[T > 0.5] = -0.0
+        _assert_identical(K.alt_sum(T), _alt_sum_sign_multiply(T))
+        # a wedge-style outer product, whose permuted terms cancel in pairs
+        a = _random_form(1, shape[0], rng).components
+        T = np.multiply.outer(a, _alt_sum_sign_multiply(rng.standard_normal(shape[1:])))
+        _assert_identical(K.alt_sum(T), _alt_sum_sign_multiply(T))
+
+    def test_covariant_derivative_matches_tensordot_loop(self):
+        rng = np.random.default_rng(110)
+        for m in _exact_models():
+            geo = m.geometry
+            tensors = [geo.V, geo.omega.components, geo.H.components,
+                       geo.lc_curvature.R, _random_form(2, m.dim, rng).components]
+            for conn in (geo.lc, geo.bismut):
+                for T in tensors:
+                    out = fg.covariant_derivative(T, conn)
+                    _assert_identical(out, _covariant_tensordot(conn.raised(), T))
+
+    def test_transverse_covariant_matches_tensordot_loop(self):
+        for m in _exact_models():
+            if m.dim != 6:
+                continue
+            r = reduction.reduce(m)
+            for T in (r.restrict2(r.F_V), r.restrict2(r.F_JV), r.restrict3(r.H_T), r.R_T):
+                out = reduction._transverse_covariant(r.gamma_T, T)
+                _assert_identical(out, _covariant_tensordot(r.gamma_T, T))
+
+    def test_horizontal_frame_matches_gram_schmidt(self):
+        rng = np.random.default_rng(120)
+        for m in _exact_models():
+            r = reduction.reduce(m)
+            ref = _horizontal_frame_gram_schmidt(r.parent, r.V, r.JV)
+            _assert_identical(reduction._horizontal_frame(r.parent, r.V, r.JV), ref)
+            _assert_identical(r.horizontal, ref)
+            # a non-orthonormal pair in a random metric exercises every projection
+            A = rng.standard_normal((m.dim, m.dim))
+            g = MetricFrame(A @ A.T + m.dim * np.eye(m.dim))
+            mg = SimpleNamespace(metric=g, dim=m.dim)
+            V, W = rng.standard_normal(m.dim), rng.standard_normal(m.dim)
+            _assert_identical(reduction._horizontal_frame(mg, V, W),
+                              _horizontal_frame_gram_schmidt(mg, V, W))
+
+
+class TestRaisedConnection:
+    def test_computed_once(self, monkeypatch):
+        conn = fg.levi_civita(catalog.build_model("su2xsu2"))
+        calls = []
+        einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        G = conn.raised()
+        assert conn.raised() is G
+        fg.covariant_derivative(np.ones(6), conn)
+        assert calls == ["abc,cm->abm"]
+        ref = einsum("abc,cm->abm", conn.gamma, conn.metric.inv)
+        _assert_identical(G, ref)
+
+    def test_read_only(self):
+        conn = fg.bismut_connection(catalog.build_model("su2xRxC"))
+        G = conn.raised()
+        assert not G.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            G[0, 0, 0] = 1.0
