@@ -16,22 +16,34 @@ so E and every Jacobian column lie in
     U = R^{N1} (x) span(1, k2) + span(1, k1) (x) R^{N2},
 
 a space of dimension at most 2 N1 + 2 N2 rather than N1 N2.  With Q_f an
-orthonormal basis of span(1, k_f), the map
+orthonormal basis of span(1, k_f) and P_f = I - Q_f Q_f^T, U splits
+orthogonally into three blocks,
 
-    B^T vec(E) = [E Q2, Q1^T E (I - Q2 Q2^T)]
+    P1 E Q2,    Q1^T E P2,    Q1^T E Q2,
 
-is an isometry on U, so min |J p + r| and min |B^T J p + B^T r| have the
-same solutions and B^T J has the singular values of J.  Each step solves
-the compressed system, built from forward differences of the 1-D factor
-data (A_f, k_f); the (n+1)^2-row Jacobian is never formed.  See C. F. Van
-Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123
-(2000).
+of sizes N1 r2, r1 N2 and r1 r2 <= 4 (r_f = 1 or 2 columns of Q_f), so
+min |J p + r| has the same solutions in these coordinates and the
+(n+1)^2-row Jacobian is never formed.  A factor-1 column
+DA1 (x) 1 - 2 Dk1 (x) k2 has no rows in Q1^T E P2, because P2 annihilates
+1 and k2; symmetrically a factor-2 column has no rows in P1 E Q2.  The
+factors meet only in the r1 r2 coupling rows Q1^T E Q2: least squares
+with a few added rows (A. Bjorck, Numerical Methods for Least Squares
+Problems, SIAM 1996, ch. 3; C. F. Van Loan, "The ubiquitous Kronecker
+product", J. Comput. Appl. Math. 123 (2000)).
 
-B^T J has full column rank: Dk_f is injective, because a profile change
-with zero second difference and fixed poles is zero.  So the least-squares
-step is unique and is solved exactly by one Householder QR of
-[B^T J, B^T r], with no singular values truncated.  cond(B^T J) grows like
-n^4, so any fixed truncation cut drops genuine directions at some n.
+Each step is therefore solved block by block.  One Householder QR per
+sphere factor triangularizes its own block; the first also carries the
+coupling rows with an identity in place of the other factor's unknowns,
+and hands the triangle of what is left of them to the second, which folds
+them in exactly.  One triangular solve per factor gives the step.  This is
+the same least-squares solution as one QR of the whole compressed system,
+from two QRs of about 2n x n instead of one of about 4n x 2n.
+
+Each factor's Jacobian has full column rank: Dk_f is injective, because a
+profile change with zero second difference and fixed poles is zero.  So
+the step is unique and solved exactly, with no singular values truncated.
+cond(J) grows like n^4, so any fixed truncation cut drops genuine
+directions at some n.
 """
 
 from __future__ import annotations
@@ -147,12 +159,14 @@ def _unpack(s0: ProductSurface, x: np.ndarray) -> ProductSurface:
     return ProductSurface(factors[0], factors[1], s0.a)
 
 
-def _residual(s0: ProductSurface, x: np.ndarray) -> np.ndarray:
-    return pde_residual(_unpack(s0, x)).E.ravel()
+def _residual(s0: ProductSurface, x: np.ndarray) -> tuple[ProductSurface, np.ndarray]:
+    """The surface at unknowns x and its raveled residual field."""
+    s = _unpack(s0, x)
+    return s, pde_residual(s).E.ravel()
 
 
 # ---------------------------------------------------------------------------
-# compressed Gauss-Newton step
+# block Gauss-Newton step
 # ---------------------------------------------------------------------------
 
 
@@ -175,65 +189,110 @@ def _factor_derivatives(p: SphereProfile, fd_step: float) -> tuple[np.ndarray, n
 
 
 def _span_basis(k: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(1, k): one column when k is constant to round-off."""
-    Q, R = np.linalg.qr(np.column_stack([np.ones_like(k), k]))
-    if abs(R[1, 1]) <= k.size * np.finfo(float).eps * np.linalg.norm(k):
-        return Q[:, :1]
-    return Q
+    """Orthonormal basis of span(1, k): one column when k is constant to round-off.
 
-
-def _compress(E: np.ndarray, Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
-    """B^T vec(E) = [E Q2, Q1^T E (I - Q2 Q2^T)]; an isometry on U."""
-    Y = Q1.T @ E
-    Y -= (Y @ Q2) @ Q2.T
-    return np.concatenate([(E @ Q2).ravel(), Y.ravel()])
-
-
-def _jacobian(s: ProductSurface, Q1: np.ndarray, Q2: np.ndarray, fd_step: float) -> np.ndarray:
-    """B^T J: the finite-difference Jacobian at s in the coordinates of _compress.
-
-    A factor-1 column is DA1 (x) 1 - 2 Dk1 (x) k2 and a factor-2 column is
-    1 (x) DA2 - 2 k1 (x) Dk2, so each block is a product of 1-D factor
-    data with the small matrices Q^T 1, Q^T k.  J itself is never formed.
+    The second column is k minus its mean, taken twice so that it stays
+    orthogonal to 1 when k is nearly constant.
     """
-    k1, k2 = ricci_form_coeffs(s)
-    N1, N2 = k1.size, k2.size
-    r1, r2 = Q1.shape[1], Q2.shape[1]
-    blocks = []
-    if s.factor1.kind == "sphere":
-        DA, Dk = _factor_derivatives(s.factor1, fd_step)
-        m = DA.shape[1]
-        ones2, kk2 = Q2.sum(axis=0), Q2.T @ k2  # Q2^T 1, Q2^T k2
-        X = DA[:, None, :] * ones2[None, :, None] - 2.0 * Dk[:, None, :] * kk2[None, :, None]
-        # (I - Q2 Q2^T) annihilates 1 and k2, so these columns have no Y rows
-        blocks.append(np.vstack([X.reshape(N1 * r2, m), np.zeros((r1 * N2, m))]))
-    if s.factor2.kind == "sphere":
-        DA, Dk = _factor_derivatives(s.factor2, fd_step)
-        m = DA.shape[1]
-        QDA, QDk = Q2.T @ DA, Q2.T @ Dk
-        X = QDA[None, :, :] - 2.0 * k1[:, None, None] * QDk[None, :, :]
-        PDA, PDk = DA - Q2 @ QDA, Dk - Q2 @ QDk  # (I - Q2 Q2^T) applied
-        ones1, kk1 = Q1.sum(axis=0), Q1.T @ k1
-        Y = ones1[:, None, None] * PDA[None] - 2.0 * kk1[:, None, None] * PDk[None]
-        blocks.append(np.vstack([X.reshape(N1 * r2, m), Y.reshape(r1 * N2, m)]))
-    return np.hstack(blocks)
+    N = k.size
+    d = k - k.mean()
+    d -= d.mean()
+    norm = np.linalg.norm(d)
+    if norm <= N * np.finfo(float).eps * np.linalg.norm(k):
+        return np.full((N, 1), N**-0.5)
+    return np.column_stack([np.full(N, N**-0.5), d / norm])
+
+
+def _compress(E: np.ndarray, Q1: np.ndarray, Q2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P1 E Q2, (Q1^T E P2)^T, Q1^T E Q2): the three blocks of E in U.
+
+    Each block is laid out with its own factor's grid first, like the rows
+    of _jacobian; their squared norms add up to |E|^2 when E lies in U.
+    """
+    EQ2 = E @ Q2
+    C = Q1.T @ EQ2
+    return EQ2 - Q1 @ C, (Q1.T @ E - C @ Q2.T).T, C
+
+
+def _jacobian(p: SphereProfile, Q: np.ndarray, Qo: np.ndarray, ko: np.ndarray, fd_step: float) -> np.ndarray:
+    """Compressed Jacobian columns of the unknowns of one sphere factor p.
+
+    Q is the span basis of p's own curvature, Qo and ko those of the other
+    factor.  A column is DA (x) 1 - 2 Dk (x) ko on the grid (own, other),
+    so against the other factor it only meets Qo^T 1 and Qo^T ko.  The
+    rows are (I - Q Q^T) X, the factor's own block, followed by the
+    coupling rows Q^T X, in (own, other) order, with X = DA (x) Qo^T 1 -
+    2 Dk (x) Qo^T ko.  J itself is never formed.
+    """
+    DA, Dk = _factor_derivatives(p, fd_step)
+    N, m = DA.shape
+    X = DA[:, None, :] * Qo.sum(axis=0)[:, None] - 2.0 * Dk[:, None, :] * (Qo.T @ ko)[:, None]
+    X = X.reshape(N, -1)
+    C = Q.T @ X
+    X -= Q @ C
+    return np.concatenate([X.reshape(-1, m), C.reshape(-1, m)])
+
+
+def _triangle(R: np.ndarray, m: int) -> bool:
+    """True when the first m diagonal entries of R are numerically nonzero."""
+    diag = np.abs(np.diagonal(R)[:m])
+    return bool(np.all(diag > (m + 1) * np.finfo(float).eps * diag.max()))
 
 
 def _gauss_newton_step(s: ProductSurface, r: np.ndarray, fd_step: float) -> np.ndarray | None:
-    """Least-squares step p minimizing |J p + r|, solved on the compressed system.
+    """Least-squares step p minimizing |J p + r|, solved block by block.
 
-    One Householder QR of [B^T J, B^T r] gives R, and the step solves
-    R[:-1, :-1] p = -R[:-1, -1]; B^T J has full column rank, so nothing is
-    truncated.  Returns None when R has a numerically zero diagonal entry
-    or the step is not finite.
+    In the coordinates of _compress the problem is
+
+        min |M1 p1 + g1|^2 + |M2 p2 + g2|^2 + |C1 p1 + C2 p2 + c|^2,
+
+    with at most four coupling rows.  Put w = C2 p2 + c.  A Householder QR
+    of [[M1, 0, g1], [C1, I, 0]] (unknowns p1, w) gives the best p1 for
+    any w from R11 p1 = -(R1w w + h), and leaves |T w + t|^2 from its
+    last rows.  A QR of [[M2, g2], [T C2, T c + t]] then gives p2, and p1
+    follows; one triangular solve per factor.  With one sphere factor only
+    the second QR runs, with T = I and t = 0.  Returns None when a
+    factor's triangle has a numerically zero diagonal entry or the step is
+    not finite.
     """
-    Q1, Q2 = (_span_basis(k) for k in ricci_form_coeffs(s))
-    rhs = _compress(r.reshape(s.factor1.theta.size, s.factor2.theta.size), Q1, Q2)
-    R = np.linalg.qr(np.column_stack([_jacobian(s, Q1, Q2, fd_step), rhs]), mode="r")
-    diag = np.abs(np.diag(R)[:-1])
-    if not np.all(diag > R.shape[0] * np.finfo(float).eps * diag.max()):
+    k = ricci_form_coeffs(s)
+    Q = [_span_basis(kf) for kf in k]
+    own1, own2, c = _compress(r.reshape(k[0].size, k[1].size), Q[0], Q[1])
+    r1, r2 = c.shape
+    blocks = []  # (own rows, coupling rows in (factor 1, factor 2) order, own rhs)
+    for f, (p, g) in enumerate(((s.factor1, own1), (s.factor2, own2))):
+        if p.kind != "sphere":
+            continue
+        M = _jacobian(p, Q[f], Q[1 - f], k[1 - f], fd_step)
+        C = M[g.size:]
+        if f:
+            C = C.reshape(r2, r1, -1).transpose(1, 0, 2).reshape(r1 * r2, -1)
+        blocks.append((M[: g.size], C, g.ravel()))
+    c = c.ravel()
+    T, t = np.eye(c.size), np.zeros(c.size)
+    head = None  # factor 1's triangle when factor 2 follows it
+    if len(blocks) == 2:
+        M1, C1, g1 = blocks.pop(0)
+        rows, m1 = M1.shape
+        A = np.zeros((rows + c.size, m1 + c.size + 1))
+        A[:rows, :m1], A[:rows, -1] = M1, g1
+        A[rows:, :m1], A[rows:, m1:-1] = C1, T
+        head = np.linalg.qr(A, mode="r")
+        if not _triangle(head, m1):
+            return None
+        T, t = head[m1:-1, m1:-1], head[m1:-1, -1]
+    (M, C, g), = blocks
+    rows, m = M.shape
+    A = np.empty((rows + c.size, m + 1))
+    A[:rows, :m], A[:rows, -1] = M, g
+    A[rows:, :m], A[rows:, -1] = T @ C, T @ c + t
+    R = np.linalg.qr(A, mode="r")
+    if not _triangle(R, m):
         return None
-    p = np.linalg.solve(R[:-1, :-1], -R[:-1, -1])
+    p = np.linalg.solve(R[:m, :m], -R[:m, -1])
+    if head is not None:
+        w = C @ p + c
+        p = np.concatenate([np.linalg.solve(head[:m1, :m1], -(head[:m1, m1:-1] @ w + head[:m1, -1])), p])
     return p if np.all(np.isfinite(p)) else None
 
 
@@ -241,17 +300,18 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
     """Damped Gauss-Newton on the profile unknowns.
 
     Each step is the exact least-squares solution of the compressed
-    system, from one QR factorization (see _gauss_newton_step).  Accepted
-    steps strictly decrease the l2 residual; steps that make a profile
-    nonpositive are rejected and damped like any other failed step.  A
-    numerically singular or non-finite step ends the run as "stalled".
+    system, from two per-factor QR factorizations (see _gauss_newton_step).
+    Accepted steps strictly decrease the l2 residual; steps that make a
+    profile nonpositive are rejected and damped like any other failed step.
+    A numerically singular or non-finite step ends the run as "stalled".
     """
     cfg = cfg or SolverConfig()
     x = _pack(s0)
-    r = _residual(s0, x)
-    trace = SolveTrace(flag="", surface=_unpack(s0, x))
-    trace.residual_sup.append(float(np.max(np.abs(r))))
-    trace.residual_l2.append(float(np.linalg.norm(r)))
+    s, r = _residual(s0, x)
+    norm = np.linalg.norm(r)
+    trace = SolveTrace(flag="", surface=s)
+    trace.residual_sup.append(float(np.abs(r).max()))
+    trace.residual_l2.append(float(norm))
     if trace.residual_sup[0] <= cfg.tolerance:
         trace.flag = "at-floor"
         return trace
@@ -260,34 +320,34 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
         return trace
 
     for _ in range(cfg.max_iterations):
-        p = _gauss_newton_step(_unpack(s0, x), r, cfg.fd_step)
+        p = _gauss_newton_step(s, r, cfg.fd_step)
         lam = 1.0
-        norm0 = np.linalg.norm(r)
         accepted = False
         while p is not None and lam >= cfg.min_step:
             x_try = x + lam * p
             try:
-                r_try = _residual(s0, x_try)
+                s_try, r_try = _residual(s0, x_try)
             except ValidationError:
                 lam *= cfg.damping  # positivity or smoothness violated
                 continue
-            if np.linalg.norm(r_try) < norm0:
+            norm_try = np.linalg.norm(r_try)
+            if norm_try < norm:
                 accepted = True
                 break
             lam *= cfg.damping
         if not accepted:
             trace.flag = "stalled"
-            trace.surface = _unpack(s0, x)
+            trace.surface = s
             return trace
-        x, r = x_try, r_try
-        trace.residual_sup.append(float(np.max(np.abs(r))))
-        trace.residual_l2.append(float(np.linalg.norm(r)))
+        x, s, r, norm = x_try, s_try, r_try, norm_try
+        trace.residual_sup.append(float(np.abs(r).max()))
+        trace.residual_l2.append(float(norm))
         trace.steps.append(lam)
         if trace.residual_sup[-1] <= cfg.tolerance:
             trace.flag = "converged"
-            trace.surface = _unpack(s0, x)
+            trace.surface = s
             return trace
 
     trace.flag = "max-iterations"
-    trace.surface = _unpack(s0, x)
+    trace.surface = s
     return trace

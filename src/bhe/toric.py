@@ -101,6 +101,7 @@ class SphereProfile:
     @staticmethod
     def round(c: float, n: int) -> "SphereProfile":
         """Constant-curvature profile Theta = (c^2 - z^2)/c, kappa = 1/c."""
+        _check_profile_scale(c)
         z = -c + (2.0 * c / n) * np.arange(n + 1)
         return SphereProfile(c, n, (c * c - z * z) / c, "sphere")
 
@@ -111,10 +112,23 @@ class SphereProfile:
     @staticmethod
     def round_perturbed(c: float, n: int, eps: float, mode: str = "odd") -> "SphereProfile":
         """Round profile plus eps (c^2 - z^2)^2 * w(z); pole conditions survive."""
+        _check_profile_scale(c, eps)
         z = -c + (2.0 * c / n) * np.arange(n + 1)
         bump = (c * c - z * z) ** 2
         w = np.sin(z) if mode == "odd" else np.cos(z)
         return SphereProfile(c, n, (c * c - z * z) / c + eps * bump * w, "sphere")
+
+
+def _check_profile_scale(c: float, eps: float | None = None) -> None:
+    """Reject a half-length whose profile formula overflows, before numpy warns about it.
+
+    The round profile forms c^2, the quartic bump also eps (c^2)^2.  The
+    test multiplies Python floats, which overflow to inf silently.
+    """
+    c2 = float(c) * float(c)
+    top = c2 if eps is None else c2 * c2 * max(1.0, abs(float(eps)))
+    if top == math.inf:
+        raise ValidationError(f"half-length c = {c!r} is too large: the profile formula overflows")
 
 
 def _d1(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -204,6 +218,12 @@ class ProductSurface:
     a: float = 0.0
 
     def __post_init__(self):
+        # pde_residual adds 2 a^2 to E and its l2 norm squares E.  Python
+        # float products overflow to inf without raising or warning, and
+        # not (x < inf) fails NaN too.
+        a2 = 2.0 * float(self.a) * float(self.a)
+        if not a2 * a2 < math.inf:
+            raise ValidationError(f"class datum a = {self.a!r} must be finite with (2 a^2)^2 finite")
         if self.a != 0.0 and abs(self.factor1.area - self.factor2.area) > 1e-12:
             raise ValidationError(
                 "class constraint Omega . A != 0: the anti-diagonal class needs equal "
@@ -405,6 +425,7 @@ def manufactured_truncation_error(c: float, eps: float, n: int, a: float = 0.0) 
     differences pick up genuine O(h^2) truncation measured against the
     polynomial-exact residual.
     """
+    _check_profile_scale(c, eps)
     z = -c + (2.0 * c / n) * np.arange(n + 1)
     _, kappa_pol, flux_pol = _poly_profile_fields(c, eps)
     p1 = SphereProfile(c, n, (c * c - z * z) / c + eps * (c * c - z * z) ** 2, "sphere")

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -131,6 +133,30 @@ class TestPde:
         err = capsys.readouterr().err
         assert err.startswith("bhe: invalid input:") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["pde", "residual"], ["pde", "solve"], ["converge"]], ids=lambda c: "-".join(c)
+)
+def test_overflowing_class_datum_exit_2(tmp_path, capsys, command):
+    # 2 a^2 overflows a float; the surface is refused before any residual
+    cfg = write_config(tmp_path, a=1e200)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bhe: invalid input: class datum a = 1e+200") and err.count("\n") == 1
+
+
+def test_huge_half_length_one_stderr_line(tmp_path):
+    # a fresh interpreter with numpy's default warning filters: c^2 overflows,
+    # and the one line on stderr is the refusal, with no RuntimeWarning
+    cfg = write_config(tmp_path, c1=1e300, c2=1e300)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "bhe.cli", "pde", "residual", "--config", cfg,
+                          "--out", str(tmp_path / "x")], env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("bhe: invalid input: half-length c = 1e+300")
+    assert out.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,25 @@ class TestProfiles:
         with pytest.raises(ValidationError):
             make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SphereProfile.round(1e300, 32),
+            lambda: SphereProfile.round(-1e300, 32),
+            lambda: SphereProfile.round_perturbed(1e155, 32, 1e-2),
+            lambda: SphereProfile.round_perturbed(1e100, 32, 1e-2),
+            lambda: SphereProfile.round_perturbed(2.0, 32, 1e308),
+            lambda: toric.manufactured_truncation_error(1e100, 1e-2, 32),
+        ],
+        ids=["round-1e300", "round-minus-1e300", "perturbed-1e155", "perturbed-1e100",
+             "perturbed-eps-1e308", "manufactured-1e100"],
+    )
+    def test_rejects_overflowing_half_length(self, make):
+        # warnings are errors under pytest: the refusal comes before numpy
+        # forms inf - inf
+        with pytest.raises(ValidationError, match="too large"):
+            make()
+
     def test_flat_profile_constant(self):
         p = SphereProfile.flat(1.0, 32, 2.0)
         assert np.all(p.theta == 2.0)
@@ -137,6 +156,18 @@ class TestResidual:
         errs = [toric.manufactured_truncation_error(2.0, 1e-2, n) for n in (64, 128, 256)]
         orders = toric.observed_orders(errs)
         assert all(o >= 1.9 for o in orders), (errs, orders)
+
+
+class TestClassDatum:
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), -float("inf"), 1e200, 1e100])
+    def test_rejects_non_finite_or_overflowing(self, a):
+        with pytest.raises(ValidationError, match="class datum"):
+            ProductSurface(SphereProfile.round(2.0, 32), SphereProfile.round(2.0, 32), a)
+
+    def test_large_finite_class_keeps_a_finite_residual(self):
+        s = ProductSurface(SphereProfile.round(2.0, 32), SphereProfile.round(2.0, 32), 1e76)
+        f = toric.pde_residual(s)
+        assert np.isfinite(f.sup) and np.isfinite(f.l2)
 
 
 class TestHarmonicASD:
