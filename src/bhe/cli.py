@@ -13,14 +13,15 @@ failure, 2 invalid input.
 
 ``residual.csv`` holds a header plus (n+1)^2 rows ``z1,z2,E`` in z1-major
 order (a flat-torus factor has n nodes, not n+1).  It is streamed in blocks
-of whole grid rows with at most 2**13 values, about 2.5 MB of extra memory
-at any n.  A block's floats are printed by a vectorized numpy kernel
-(``bhe._format``), exactly rounded and byte-identical to ``"%.16e" % x``:
-it scales |x| by a power of ten in longdouble and reads off the 17 digits
-wherever a proven error bound decides the rounding.  The values it cannot
-decide fall back to Python's ``%``: 0 and -0, nan and +-inf, and values
-within the bound of a rounding tie (about 1% of a residual field).  Where
-longdouble is plain double, every value falls back.
+of whole grid rows with at most ``toric.BLOCK_VALUES`` = 2**13 values,
+about 2.5 MB of extra memory at any n.  A block's floats are printed by a
+vectorized numpy kernel (``bhe._format``), exactly rounded and
+byte-identical to ``"%.16e" % x``: it scales |x| by a power of ten in
+longdouble and reads off the 17 digits wherever a proven error bound
+decides the rounding.  The values it cannot decide fall back to Python's
+``%``: 0 and -0, nan and +-inf, and values within the bound of a rounding
+tie (about 1% of a residual field).  Where longdouble is plain double,
+every value falls back.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .frame_geometry import (
 from .report import Report
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID = 0, 1, 2
-_BLOCK_VALUES = 1 << 13  # residual.csv values formatted per block
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +338,8 @@ def _surface_rows(s: toric.ProductSurface) -> list[tuple]:
 def _residual_lines(field: toric.PdeResidualField):
     """``z1,z2,E`` lines in z1-major order, one ASCII bytes chunk per block of grid rows.
 
-    A block holds whole grid rows and at most ``_BLOCK_VALUES`` values, or
-    a single row if one row is longer.  Its
+    A block holds whole grid rows and at most ``toric.BLOCK_VALUES`` values,
+    or a single row if one row is longer.  Its
     lines are laid out as a matrix of NUL-padded ``_format.e16_cells`` and
     compacted by one ``translate``, so the bytes equal the encoded
     ``format_row`` text of every (z1, z2, E) while the extra memory stays
@@ -348,7 +348,7 @@ def _residual_lines(field: toric.PdeResidualField):
     z1 = _format.e16_cells(field.z1, ",")
     z2 = _format.e16_cells(field.z2, ",")
     n2 = field.E.shape[1]
-    rows = max(1, _BLOCK_VALUES // n2)
+    rows = max(1, toric.BLOCK_VALUES // n2)
     for i in range(0, len(z1), rows):
         E = field.E[i : i + rows]
         buf = bytearray(3 * E.size * _format.CELL.itemsize)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,33 @@ def test_overflowing_class_datum_exit_2(tmp_path, capsys, command):
     assert err.startswith("bhe: invalid input: class datum a = 1e+200") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("a", [0.5, 0.0])
+def test_overflowing_intersection_numbers_exit_2(tmp_path, capsys, a):
+    # c^2 is finite but the area product (4 pi c)^2 is not: diagnostics.json
+    # would hold A_dot_A -inf (a = 1/2) or nan (a = 0, as 0 * inf)
+    cfg = write_config(tmp_path, c1=1e154, c2=1e154, a=a, n=32)
+    assert main(["pde", "residual", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bhe: invalid input: intersection numbers overflow") and err.count("\n") == 1
+    assert not (tmp_path / "x" / "residual.csv").exists()
+
+
+def test_pde_residual_memory_peak(tmp_path):
+    # a warm n=256 command holds E, then R, f and e^f, and one block of
+    # formatted text, in units of one float64 grid
+    n = 256
+    cfg = write_config(tmp_path, n=n, perturb_eps=0.01)
+    argv = ["pde", "residual", "--config", cfg, "--out", str(tmp_path / "res")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * (n + 1) ** 2 * 8
+
+
 def test_huge_half_length_one_stderr_line(tmp_path):
     # a fresh interpreter with numpy's default warning filters: c^2 overflows,
     # and the one line on stderr is the refusal, with no RuntimeWarning
@@ -282,7 +310,7 @@ class TestCsvWriter:
     @pytest.mark.parametrize("block", [1, 7, 1 << 14])
     def test_residual_lines_special_values(self, monkeypatch, block):
         # Blocks of one value, of a partial row and of the whole field.
-        monkeypatch.setattr(cli, "_BLOCK_VALUES", block)
+        monkeypatch.setattr(toric, "BLOCK_VALUES", block)
         z1 = np.array([-0.0, 5e-324, 1e200, -2.5e-308])
         z2 = np.array([np.nan, -np.inf, 0.0, 1.7976931348623157e308, -1e-100])
         E = np.array(

@@ -47,7 +47,7 @@ def full_jacobian(s, fd_step):
 def dense_step(s0, fd_step=1e-6):
     """Reference step: one pde_residual per Jacobian column, then dense lstsq."""
     x = solver._pack(s0)
-    _, r0 = solver._residual(s0, x)
+    _, r0, _ = solver._residual(s0, x)
     J = np.empty((r0.size, x.size))
     for k in range(x.size):
         delta = fd_step * max(1.0, abs(x[k]))
@@ -118,10 +118,10 @@ class TestCompressedStep:
     )
     def test_matches_full_compressed_qr(self, kind, ranks):
         s0 = surface_pair(kind)
-        s, r = solver._residual(s0, solver._pack(s0))
-        assert tuple(solver._span_basis(k).shape[1] for k in toric.ricci_form_coeffs(s)) == ranks
+        s, r, k = solver._residual(s0, solver._pack(s0))
+        assert tuple(solver._span_basis(kf).shape[1] for kf in k) == ranks
         p_ref = reference_step(s, r)
-        p = solver._gauss_newton_step(s, r, 1e-6)
+        p = solver._gauss_newton_step(s, r, k, 1e-6)
         assert np.linalg.norm(p - p_ref) <= 1e-9 * np.linalg.norm(p_ref)
 
     @pytest.mark.parametrize("kind", ["sphere-sphere", "sphere-flat", "flat-sphere"])
@@ -129,7 +129,7 @@ class TestCompressedStep:
         s0 = surface_pair(kind)
         s = solver._unpack(s0, solver._pack(s0))
         p_dense, r0 = dense_step(s)
-        p = solver._gauss_newton_step(s, r0, 1e-6)
+        p = solver._gauss_newton_step(s, r0, toric.ricci_form_coeffs(s), 1e-6)
         assert np.linalg.norm(p - p_dense) <= 1e-9 * np.linalg.norm(p_dense)
 
     @pytest.mark.parametrize("kind", ["sphere-sphere", "sphere-flat", "flat-sphere"])
@@ -138,9 +138,8 @@ class TestCompressedStep:
         # none in P1 E Q2; _jacobian returns the own block, then the
         # coupling rows in (own, other) order
         s0 = surface_pair(kind)
-        s, r0 = solver._residual(s0, solver._pack(s0))
+        s, r0, k = solver._residual(s0, solver._pack(s0))
         N1, N2 = s.factor1.theta.size, s.factor2.theta.size
-        k = toric.ricci_form_coeffs(s)
         Q = [solver._span_basis(kf) for kf in k]
         parts = solver._compress(r0.reshape(N1, N2), *Q)
         norm = np.sqrt(sum(np.sum(b**2) for b in parts))
@@ -167,8 +166,8 @@ class TestCompressedStep:
         # cond(B^T J) grows like n^4; a step that truncates small singular
         # values leaves genuine directions unsolved (relative 0.041 here)
         s0 = surface_pair("sphere-sphere", n=1024)
-        s, r = solver._residual(s0, solver._pack(s0))
-        p = solver._gauss_newton_step(s, r, 1e-6)
+        s, r, k = solver._residual(s0, solver._pack(s0))
+        p = solver._gauss_newton_step(s, r, k, 1e-6)
         M, rhs = reference_system(s, r)
         assert np.linalg.norm(M @ p + rhs) <= 0.03 * np.linalg.norm(rhs)
 
@@ -227,7 +226,7 @@ class TestGaussNewton:
     def test_jacobian_matches_directional_differences(self):
         s0 = perturbed_surface(n=32)
         x = solver._pack(s0)
-        s, r0 = solver._residual(s0, x)
+        s, r0, _ = solver._residual(s0, x)
         J = full_jacobian(s, 1e-6)
         rng = np.random.default_rng(4)
         for _ in range(3):

@@ -1,10 +1,13 @@
 """Momentum-profile surfaces: curvature, Laplacian, residuals, topology."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bhe import toric
 from bhe.frame_geometry import ValidationError
+from bhe.report import Report
 from bhe.toric import ProductSurface, SphereProfile
 
 
@@ -117,7 +120,8 @@ class TestLaplacian:
     def test_constant_in_kernel(self):
         s = ProductSurface(SphereProfile.round(2.0, 32), SphereProfile.flat(1.0, 32))
         h = np.ones((33, 32))
-        assert np.max(np.abs(toric.invariant_laplacian(s, h))) == 0.0
+        assert np.max(np.abs(toric.laplacian_1d(s.factor1, h, axis=0))) == 0.0
+        assert np.max(np.abs(toric.laplacian_1d(s.factor2, h, axis=1))) == 0.0
 
     def test_coordinate_function_on_round_sphere(self):
         p = SphereProfile.round(1.0, 64)
@@ -163,6 +167,18 @@ class TestClassDatum:
     def test_rejects_non_finite_or_overflowing(self, a):
         with pytest.raises(ValidationError, match="class datum"):
             ProductSurface(SphereProfile.round(2.0, 32), SphereProfile.round(2.0, 32), a)
+
+    @pytest.mark.parametrize(
+        "c, a",
+        [(1e154, 0.5), (1e154, 0.0), (1e100, 1e76)],
+        ids=["area-product-inf", "area-product-inf-a0", "a2-times-areas-inf"],
+    )
+    def test_rejects_overflowing_intersection_numbers(self, c, a):
+        # c^2 and 2 a^2 are finite, but A.A = -2 a^2 (4 pi c)^2 / (2 pi)^2 is
+        # not; with a = 0 the infinite area product would make it 0 * inf
+        p = SphereProfile.round(c, 32)
+        with pytest.raises(ValidationError, match="intersection numbers overflow"):
+            ProductSurface(p, p, a)
 
     def test_large_finite_class_keeps_a_finite_residual(self):
         s = ProductSurface(SphereProfile.round(2.0, 32), SphereProfile.round(2.0, 32), 1e76)
@@ -257,3 +273,213 @@ class TestForwardMap:
             sups.append(rep.residuals["transverse_lee_is_df"])
         orders = toric.observed_orders(sups)
         assert all(o == float("inf") or o > 1.8 for o in orders), (sups, orders)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid references: the residual and forward map as computed before
+# they were built from factor data and row blocks
+# ---------------------------------------------------------------------------
+
+
+def whole_grid_residual(s):
+    """E = (1/2) Lap R - 2 k1 k2 + 2 a^2 with 2-D stencils on the full grid, and R."""
+    k1, k2 = toric.ricci_form_coeffs(s)
+    R = 2.0 * k1[:, None] + 2.0 * k2[None, :]
+    lap = toric.laplacian_1d(s.factor1, R, axis=0) + toric.laplacian_1d(s.factor2, R, axis=1)
+    return 0.5 * lap - 2.0 * np.outer(k1, k2) + 2.0 * s.a**2, R
+
+
+def whole_grid_norms(E, weights=None):
+    """(sup, l2) of E with the full (n+1)^2 weight matrix."""
+    sup = float(np.max(np.abs(E)))
+    if weights is None:
+        return sup, float(np.sqrt(np.mean(E**2)))
+    return sup, float(np.sqrt(np.sum(E**2 * np.outer(*weights))))
+
+
+def whole_grid_forward(s):
+    """Residuals and notes of the forward map, every check on the whole grid."""
+    k1, k2 = toric.ricci_form_coeffs(s)
+    R = 2.0 * k1[:, None] + 2.0 * k2[None, :]
+    rmin = float(np.min(R))
+    if rmin <= 0:
+        raise ValidationError(f"transverse scalar curvature must be positive (min {rmin:.6f})")
+    f = np.log(R / 2.0)
+    ef = R / 2.0
+    a = s.a
+    rep = Report("forward_map")
+    res_lee = 0.0
+    df = []
+    for axis, p in ((0, s.factor1), (1, s.factor2)):
+        lhs = toric._d1(p, ef, axis=axis)
+        df.append(toric._d1(p, f, axis=axis))
+        res_lee = max(res_lee, float(np.max(np.abs(lhs - ef * df[-1]))))
+    rep.record("transverse_lee_is_df", res_lee)
+    rep.record("principal_trace_V", 0.0, note="exact: alpha is primitive in the ansatz")
+    rep.record("principal_trace_JV", float(np.max(np.abs(2.0 - np.exp(-f) * R))))
+    lap_f = toric.laplacian_1d(s.factor1, f, axis=0) + toric.laplacian_1d(s.factor2, f, axis=1)
+    df1, df2 = df
+    grad2 = s.factor1.theta[:, None] * df1**2 + s.factor2.theta[None, :] * df2**2
+    lhs_anomaly = ef * (lap_f + grad2)
+    rhs_anomaly = -2.0 * a * a + 2.0 * np.outer(k1, k2)
+    rep.record("anomaly_cancellation", float(np.max(np.abs(lhs_anomaly - rhs_anomaly))))
+    gamma1 = 0.5 * ef - k1[:, None]
+    gamma2 = 0.5 * ef - k2[None, :]
+    norm_id = np.exp(-2 * f) * (4 * a * a + 2 * gamma1**2 + 2 * gamma2**2)
+    rep.record("principal_norm_identity", float(np.max(np.abs(norm_id - 1.0))))
+    h2 = max(s.factor1.h, s.factor2.h) ** 2
+    rep.notes["C_estimate"] = repr(rep.max_residual() / h2)
+    return rep.residuals, rep.notes, (R, f, ef)
+
+
+def layout_surface(layout, n, mode="odd", a=0.0, c=2.2, eps=0.01):
+    """Sphere-sphere, sphere-flat or flat-sphere surface with a perturbed sphere."""
+    sphere = SphereProfile.round_perturbed(c, n, eps, mode)
+    flat = SphereProfile.flat(c, n)
+    f1, f2 = {"sphere-sphere": (sphere, sphere), "sphere-flat": (sphere, flat),
+              "flat-sphere": (flat, sphere)}[layout]
+    return ProductSurface(f1, f2, a)
+
+
+LAYOUTS = ["sphere-sphere", "sphere-flat", "flat-sphere"]
+
+
+class TestRowBlocks:
+    def test_blocks_cover_rows_with_at_least_three(self, monkeypatch):
+        for block in (1, 7, 40, toric.BLOCK_VALUES):
+            monkeypatch.setattr(toric, "BLOCK_VALUES", block)
+            for rows in range(3, 40):
+                for cols in (1, 5, 17, 4096):
+                    blocks = toric._row_blocks(rows, cols)
+                    assert blocks[0][0] == 0 and blocks[-1][1] == rows
+                    assert all(b[1] == c[0] for b, c in zip(blocks, blocks[1:]))
+                    assert all(i1 - i0 >= 3 for i0, i1 in blocks)
+                    # at most BLOCK_VALUES values, or 3 rows if those are more,
+                    # plus the at most 2 rows of a merged short last block
+                    assert all((i1 - i0) * cols <= max(block, 3 * cols) + 2 * cols for i0, i1 in blocks)
+
+    @pytest.mark.parametrize("kind", ["sphere", "flat-torus"])
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_halo_blocks_reproduce_whole_grid_stencils(self, monkeypatch, n, kind):
+        # the forward map's fields are constant along a flat factor, so a
+        # wrong periodic halo would not show there; a random field does
+        monkeypatch.setattr(toric, "BLOCK_VALUES", 1)
+        p = SphereProfile.round_perturbed(2.0, n, 0.01) if kind == "sphere" else SphereProfile.flat(2.0, n, 1.7)
+        u = np.random.default_rng(n).standard_normal((p.theta.size, 5))
+        d1, lap = toric._d1(p, u), toric.laplacian_1d(p, u)
+        for i0, i1 in toric._row_blocks(*u.shape):
+            rows, keep = toric._halo_rows(p, i0, i1)
+            assert np.array_equal(toric._d1(p, u[rows])[keep], d1[i0:i1])
+            assert np.array_equal(toric._laplacian_rows(p, u[rows], rows)[keep], lap[i0:i1])
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", [16, 17, 100, 255, 256, 512])
+    def test_forward_map_equals_whole_grid(self, n, layout):
+        for mode in ("odd", "even"):
+            for a in (0.0, 1.0 / 2.2, 0.3):
+                s = layout_surface(layout, n, mode, a)
+                fields, rep = toric.p4d_forward(s)
+                residuals, notes, (R, f, ef) = whole_grid_forward(s)
+                assert rep.residuals == residuals and rep.notes == notes, (mode, a)
+                for got, want in zip((fields["R"], fields["f"], fields["conformal_factor"]), (R, f, ef)):
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [1, 40])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_forward_map_equals_whole_grid_in_small_blocks(self, monkeypatch, n, layout, block):
+        # 3-row blocks leave every remainder of rows mod 3 on both factor
+        # kinds, so short last blocks merge and halos meet the poles
+        monkeypatch.setattr(toric, "BLOCK_VALUES", block)
+        for a in (0.0, 0.3):
+            s = layout_surface(layout, n, "even", a)
+            assert toric.p4d_forward(s)[1].residuals == whole_grid_forward(s)[0]
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            ProductSurface(SphereProfile.round_perturbed(2.0, 64, 0.1, "even"), SphereProfile.round(2.0, 64)),
+            ProductSurface(SphereProfile.flat(1.0, 32), SphereProfile.flat(1.0, 32)),
+        ],
+        ids=["saddle", "flat-flat"],
+    )
+    def test_positive_curvature_gate_message_unchanged(self, s):
+        with pytest.raises(ValidationError) as want:
+            whole_grid_forward(s)
+        with pytest.raises(ValidationError) as got:
+            toric.p4d_forward(s)
+        assert str(got.value) == str(want.value)
+
+
+class TestSeparableResidual:
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_within_roundoff_of_whole_grid(self, n):
+        # the 2-D stencils difference R = 2 k1 + 2 k2 and divide by h^2
+        # twice; E from factor data skips adding the constant k2[j] first
+        eps = np.finfo(float).eps
+        for c in (2.05, 2.25, 2.45):
+            for mode in ("odd", "even"):
+                s = layout_surface("sphere-sphere", n, mode, 1.0 / c, c=c)
+                E_ref, R = whole_grid_residual(s)
+                bound = 8.0 * eps * np.abs(R).max() / s.factor1.h**2
+                assert np.abs(toric.pde_residual(s).E - E_ref).max() <= bound, (c, mode)
+
+    @pytest.mark.parametrize("layout", ["sphere-flat", "flat-sphere"])
+    @pytest.mark.parametrize("n", [16, 17, 256])
+    def test_exact_on_sphere_flat(self, n, layout):
+        # k = -0.0 and A = 0.0 on the flat factor: no rounding to differ
+        for mode in ("odd", "even"):
+            for a in (0.0, 0.3):
+                s = layout_surface(layout, n, mode, a)
+                field = toric.pde_residual(s)
+                E_ref, _ = whole_grid_residual(s)
+                assert np.array_equal(field.E, E_ref)
+                assert np.array_equal(np.signbit(field.E), np.signbit(E_ref))
+                assert (field.sup, field.l2) == whole_grid_norms(
+                    E_ref, (s.factor1.weights(), s.factor2.weights()))
+
+    @pytest.mark.parametrize("n", [16, 255, 256])
+    def test_norms_of_a_given_field_unchanged(self, n):
+        s = layout_surface("sphere-sphere", n, "odd", 0.3)
+        field = toric.pde_residual(s)
+        weights = (s.factor1.weights(), s.factor2.weights())
+        assert (field.sup, field.l2) == whole_grid_norms(field.E, weights)
+        bare = toric.PdeResidualField(field.E, field.z1, field.z2)
+        assert (bare.sup, bare.l2) == whole_grid_norms(field.E)
+
+    def test_manufactured_error_matches_whole_grid(self):
+        # the exact residual of the quartic bump, built on the full grid
+        c, eps = 2.0, 1e-2
+        _, kappa_pol, flux_pol = toric._poly_profile_fields(c, eps)
+        for n in (64, 128):
+            z = -c + (2.0 * c / n) * np.arange(n + 1)
+            p = SphereProfile(c, n, (c * c - z * z) / c + eps * (c * c - z * z) ** 2, "sphere")
+            E_h, R = whole_grid_residual(ProductSurface(p, p))
+            kap = kappa_pol(z)
+            E_exact = 0.5 * (flux_pol(z)[:, None] + flux_pol(z)[None, :]) - 2.0 * np.outer(kap, kap)
+            ref = float(np.max(np.abs(E_h - E_exact)))
+            got = toric.manufactured_truncation_error(c, eps, n)
+            assert abs(got - ref) <= 16.0 * np.finfo(float).eps * np.abs(R).max() / p.h**2
+
+
+def peak_grids(fn, n):
+    """tracemalloc peak of a warm call of fn, in units of one float64 (n+1) x (n+1) grid."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / ((n + 1) ** 2 * 8)
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_pde_residual_peak(self):
+        # E and the one work array of the norms
+        s = layout_surface("sphere-sphere", 256, "odd", 0.5, c=2.0)
+        assert peak_grids(lambda: toric.pde_residual(s), 256) <= 3.1
+
+    def test_forward_map_peak(self):
+        # R, f and e^f, plus one row block of temporaries
+        s = layout_surface("sphere-sphere", 256, "odd", 0.5, c=2.0)
+        assert peak_grids(lambda: toric.p4d_forward(s), 256) <= 5.1
