@@ -1,6 +1,6 @@
 """Workbench for non-Kahler Bismut-Hermitian-Einstein frame geometry."""
 
-from .forms import FormTensor, MetricFrame, hodge_star, inner, norm2, omega_trace, type_decompose, wedge
+from .forms import FormTensor, MetricFrame, inner, norm2, omega_trace, type_decompose, wedge
 from .frame_geometry import (
     HermitianModel,
     KahlerInputError,

@@ -86,14 +86,6 @@ def perturbed_model(
     return HermitianModel(base.algebra, MetricFrame(g), base.J, f=base.f, name=name)
 
 
-def random_compatible_metric(J: np.ndarray, rng: np.random.Generator) -> MetricFrame:
-    """Random J-compatible positive-definite metric."""
-    n = J.shape[0]
-    A = rng.standard_normal((n, n))
-    P = A @ A.T + n * np.eye(n)
-    return MetricFrame(0.5 * (P + J.T @ P @ J))
-
-
 def _build_perturbed_control() -> HermitianModel:
     return perturbed_model(_build_su2xsu2(), 1e-2, name="perturbed-control")
 

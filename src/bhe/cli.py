@@ -267,15 +267,10 @@ def model_report(m: HermitianModel) -> Report:
     if vnorm2 < 1e-12:
         rep.notes["reduction"] = "V vanishes: Kahler Calabi-Yau; reduction suite skipped"
         return rep
-    if not pluriclosed or bhe_residual(m) > 1e-10:
+    if not pluriclosed or rep.residuals["bismut_ricci_flat"] > 1e-10:
         rep.notes["reduction"] = "skipped: model is not BHE"
         return rep
-    r = reduction.reduce(m)
-    rep.merge(reduction.torsion_split_residual(r))
-    rep.merge(reduction.p3_residuals(r))
-    rep.merge(reduction.einstein_maxwell_residual(r))
-    if m.dim == 6:
-        rep.merge(reduction.lemma_suite(r))
+    rep.merge(reduction.identity_suite(reduction.reduce(m)))
     return rep
 
 
@@ -300,12 +295,7 @@ def run_reduce(cfg: RunConfig) -> int:
     model = catalog.get_model(cfg.model)
     r = reduction.reduce(model)
     write_json(os.path.join(cfg.out, "reduction.json"), r.to_dict())
-    rep = Report(cfg.model)
-    rep.merge(reduction.torsion_split_residual(r))
-    rep.merge(reduction.p3_residuals(r))
-    rep.merge(reduction.einstein_maxwell_residual(r))
-    if model.dim == 6:
-        rep.merge(reduction.lemma_suite(r))
+    rep = reduction.identity_suite(r, cfg.model)
     payload = rep.to_dict(cfg.tolerance)
     payload["model"] = cfg.model
     write_json(os.path.join(cfg.out, "report.json"), payload)
@@ -359,7 +349,11 @@ def _residual_lines(field: toric.PdeResidualField):
         yield buf.translate(None, b"\0")
 
 
-def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> toric.PdeResidualField:
+def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> tuple[float, float]:
+    """Write surface.csv and residual.csv; return the residual's sup and l2 norms.
+
+    The residual grid E is dropped once residual.csv is written.
+    """
     field = toric.pde_residual(s)
     write_csv(
         os.path.join(cfg.out, "surface.csv"),
@@ -367,20 +361,20 @@ def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> toric.P
         map(format_row, _surface_rows(s)),
     )
     write_csv(os.path.join(cfg.out, "residual.csv"), ["z1", "z2", "E"], _residual_lines(field))
-    return field
+    return field.sup, field.l2
 
 
-def _diagnostics(s: toric.ProductSurface, field: toric.PdeResidualField) -> dict:
+def _diagnostics(s: toric.ProductSurface, sup: float, l2: float) -> dict:
     diag: dict = {
-        "residual_sup": field.sup,
-        "residual_l2": field.l2,
+        "residual_sup": sup,
+        "residual_l2": l2,
         "topology": toric.topo_invariants(s),
         "harmonic_asd": toric.harmonic_asd(s).residuals,
     }
     try:
-        fields, rep = toric.p4d_forward(s)
+        C, rep = toric.p4d_forward(s)
         diag["forward_map"] = rep.residuals
-        diag["forward_map_C_estimate"] = float(fields["C_estimate"])
+        diag["forward_map_C_estimate"] = C
     except ValidationError as exc:
         diag["forward_map_note"] = str(exc)
     return diag
@@ -411,8 +405,8 @@ def run_pde_residual(cfg: RunConfig) -> int:
         s = _build_surface(cfg, perturbed=bool(cfg.perturb_eps))
     except ValidationError as exc:
         return _class_violation_exit(cfg, exc)
-    field = _write_surface_artifacts(cfg, s)
-    write_json(os.path.join(cfg.out, "diagnostics.json"), _diagnostics(s, field))
+    sup, l2 = _write_surface_artifacts(cfg, s)
+    write_json(os.path.join(cfg.out, "diagnostics.json"), _diagnostics(s, sup, l2))
     return EXIT_PASS
 
 
@@ -423,9 +417,9 @@ def run_pde_solve(cfg: RunConfig) -> int:
         return _class_violation_exit(cfg, exc)
     scfg = solver.SolverConfig(max_iterations=cfg.max_iterations, tolerance=cfg.solver_tol)
     trace = solver.newton_solve(s0, scfg)
-    field = _write_surface_artifacts(cfg, trace.surface)
+    sup, l2 = _write_surface_artifacts(cfg, trace.surface)
     payload = trace.to_dict()
-    payload["diagnostics"] = _diagnostics(trace.surface, field)
+    payload["diagnostics"] = _diagnostics(trace.surface, sup, l2)
     write_json(os.path.join(cfg.out, "trace.json"), payload)
     write_csv(
         os.path.join(cfg.out, "history.csv"),
@@ -437,9 +431,8 @@ def run_pde_solve(cfg: RunConfig) -> int:
 
 def run_converge(cfg: RunConfig) -> int:
     grids = (64, 128, 256)
-    residuals = []
-    kappa_errs = []
-    manufactured = []
+    residuals, kappa_errs, manufactured = [], [], []
+    res_floors, kap_floors, man_floors = [], [], []  # round-off floors, one per grid
     for n in grids:
         try:
             s = _build_surface(cfg, n=n)
@@ -450,15 +443,18 @@ def run_converge(cfg: RunConfig) -> int:
         target = 1.0 / cfg.c1 if cfg.kind1 == "sphere" else 0.0
         kappa_errs.append(float(np.max(np.abs(k1 - target))))
         manufactured.append(toric.manufactured_truncation_error(cfg.c1, 1e-2, n))
+        res_floors.append(max(toric.roundoff_floor(p, 2) for p in (s.factor1, s.factor2)))
+        kap_floors.append(toric.roundoff_floor(s.factor1, 1))
+        man_floors.append(toric.roundoff_floor(toric.SphereProfile.quartic_bump(cfg.c1, n, 1e-2), 2))
 
-    def order_entries(vals):
+    def order_entries(vals, floors):
         return [
-            ("at-floor" if o == float("inf") else o) for o in toric.observed_orders(vals)
+            ("at-floor" if o == float("inf") else o) for o in toric.observed_orders(vals, floors)
         ]
 
-    res_orders = order_entries(residuals)
-    kap_orders = order_entries(kappa_errs)
-    man_orders = order_entries(manufactured)
+    res_orders = order_entries(residuals, res_floors)
+    kap_orders = order_entries(kappa_errs, kap_floors)
+    man_orders = order_entries(manufactured, man_floors)
 
     def orders_ok(entries):
         return all(e == "at-floor" or e >= 1.9 for e in entries)

@@ -9,8 +9,6 @@ Conventions, fixed once for the whole package:
   a Hermitian 2n-frame.  This "doubled" 2-form norm is the one under which
   the torsion and principal-curvature norm identities close without stray
   factors.
-* The Hodge star satisfies a ^ *b = (1/k!) <a,b> dV, which is the classical
-  normalization: *(e^1^e^2) = e^3^e^4 on an orthonormal 4-frame.
 * Frames need not be orthonormal; every contraction goes through g and
   its inverse explicitly.
 """
@@ -118,7 +116,6 @@ class MetricFrame:
 
     g: np.ndarray
     inv: np.ndarray = field(init=False, repr=False)
-    sqrt_det: float = field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -132,32 +129,13 @@ class MetricFrame:
         eigs = np.linalg.eigvalsh(g)
         if eigs[0] <= 0:
             raise ValueError(f"metric not positive-definite (min eigenvalue {eigs[0]:.3e})")
-        sqrt_det = float(np.sqrt(np.linalg.det(g)))
-        if not np.isfinite(sqrt_det):
+        if not np.isfinite(np.sqrt(np.linalg.det(g))):
             raise ValidationError("metric volume sqrt(det g) overflows")
         object.__setattr__(self, "inv", np.linalg.inv(g))
-        object.__setattr__(self, "sqrt_det", sqrt_det)
 
     @property
     def dim(self) -> int:
         return self.g.shape[0]
-
-    def volume_form(self) -> FormTensor:
-        """dV with dV(e_1,...,e_n) = sqrt(det g)."""
-        n = self.dim
-        return FormTensor._of(n, n, self.sqrt_det * levi_civita(n))
-
-
-_EPS_CACHE: dict[int, np.ndarray] = {}
-
-
-def levi_civita(n: int) -> np.ndarray:
-    """Totally antisymmetric symbol with eps[0,1,...,n-1] = 1."""
-    if n not in _EPS_CACHE:
-        seed = np.zeros((n,) * n)
-        seed[tuple(range(n))] = 1.0
-        _EPS_CACHE[n] = _kernels.alt_sum(seed)
-    return _EPS_CACHE[n]
 
 
 def wedge(a: FormTensor, b: FormTensor) -> FormTensor:
@@ -190,21 +168,6 @@ def inner(a: FormTensor, b: FormTensor, g: MetricFrame) -> float:
 
 def norm2(b: FormTensor, g: MetricFrame) -> float:
     return inner(b, b, g)
-
-
-def hodge_star(a: FormTensor, g: MetricFrame) -> FormTensor:
-    """Hodge dual: a ^ (*b) = (1/k!) <a,b> dV for all k-forms a, b."""
-    n, k = g.dim, a.degree
-    if a.dim != n:
-        raise ValueError("frame dimension mismatch")
-    eps = levi_civita(n)
-    if k == 0:
-        comp = float(a.components) * g.sqrt_det * eps
-        return FormTensor._of(n, n, comp)
-    raised = raise_indices(a, g)
-    comp = np.tensordot(raised, eps, axes=(tuple(range(k)), tuple(range(k))))
-    comp *= g.sqrt_det / _kernels.factorial(k)
-    return FormTensor._of(n - k, n, comp if n > k else comp.reshape(()))
 
 
 def interior_product(X: np.ndarray, b: FormTensor) -> FormTensor:

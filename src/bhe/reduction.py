@@ -451,6 +451,21 @@ def lemma_suite(r: ReductionData) -> Report:
     return rep
 
 
+def identity_suite(r: ReductionData, name: str = "") -> Report:
+    """Every reduction check that applies to r, as one report of that name.
+
+    The torsion split, P3 and Einstein-Maxwell suites, and on a six-dimensional
+    model the component lemma suite.
+    """
+    rep = Report(name)
+    rep.merge(torsion_split_residual(r))
+    rep.merge(p3_residuals(r))
+    rep.merge(einstein_maxwell_residual(r))
+    if r.dim == 6:
+        rep.merge(lemma_suite(r))
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # assembly of total spaces from transverse data
 # ---------------------------------------------------------------------------

@@ -65,23 +65,18 @@ from .toric import (
 )
 
 
+DAMPING = 0.5  # step factor after a rejected trial point
+MIN_STEP = 1e-6  # smallest step length tried before the run stalls
+FD_STEP = 1e-6  # relative forward-difference step of the Jacobian
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 50
     tolerance: float = 1e-8
-    damping: float = 0.5
-    min_step: float = 1e-6
-    fd_step: float = 1e-6
 
     def __post_init__(self):
-        ok = (
-            self.max_iterations > 0
-            and 0 < self.tolerance < 1
-            and 0 < self.damping < 1
-            and self.min_step > 0
-            and self.fd_step > 0
-        )
-        if not ok:
+        if not (self.max_iterations > 0 and 0 < self.tolerance < 1):
             raise ValidationError("solver configuration out of range")
 
 
@@ -175,16 +170,16 @@ def _residual(
 # ---------------------------------------------------------------------------
 
 
-def _factor_derivatives(p: SphereProfile, fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+def _factor_derivatives(p: SphereProfile) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences of (A, k) = (L k, -Theta''/2) over the unknowns of p.
 
-    Unknown j moves by fd_step * max(1, |x_j|) through the pole-constraint
+    Unknown j moves by FD_STEP * max(1, |x_j|) through the pole-constraint
     map; all perturbed profiles are stacked as columns and differentiated
     in one pass.  Returns (DA, Dk), each (n+1) x (n-3).
     """
     inner = p.theta[2:-2]
     m = inner.size
-    delta = fd_step * np.maximum(1.0, np.abs(inner))
+    delta = FD_STEP * np.maximum(1.0, np.abs(inner))
     X = np.repeat(inner[:, None], m + 1, axis=1)  # column 0 stays unperturbed
     X[np.arange(m), np.arange(1, m + 1)] += delta
     theta = _sphere_theta(p, X)
@@ -219,7 +214,7 @@ def _compress(E: np.ndarray, Q1: np.ndarray, Q2: np.ndarray) -> tuple[np.ndarray
     return EQ2 - Q1 @ C, (Q1.T @ E - C @ Q2.T).T, C
 
 
-def _jacobian(p: SphereProfile, Q: np.ndarray, Qo: np.ndarray, ko: np.ndarray, fd_step: float) -> np.ndarray:
+def _jacobian(p: SphereProfile, Q: np.ndarray, Qo: np.ndarray, ko: np.ndarray) -> np.ndarray:
     """Compressed Jacobian columns of the unknowns of one sphere factor p.
 
     Q is the span basis of p's own curvature, Qo and ko those of the other
@@ -229,7 +224,7 @@ def _jacobian(p: SphereProfile, Q: np.ndarray, Qo: np.ndarray, ko: np.ndarray, f
     coupling rows Q^T X, in (own, other) order, with X = DA (x) Qo^T 1 -
     2 Dk (x) Qo^T ko.  J itself is never formed.
     """
-    DA, Dk = _factor_derivatives(p, fd_step)
+    DA, Dk = _factor_derivatives(p)
     N, m = DA.shape
     X = DA[:, None, :] * Qo.sum(axis=0)[:, None] - 2.0 * Dk[:, None, :] * (Qo.T @ ko)[:, None]
     X = X.reshape(N, -1)
@@ -244,9 +239,7 @@ def _triangle(R: np.ndarray, m: int) -> bool:
     return bool(np.all(diag > (m + 1) * np.finfo(float).eps * diag.max()))
 
 
-def _gauss_newton_step(
-    s: ProductSurface, r: np.ndarray, k: tuple[np.ndarray, np.ndarray], fd_step: float
-) -> np.ndarray | None:
+def _gauss_newton_step(s: ProductSurface, r: np.ndarray, k: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
     """Least-squares step p minimizing |J p + r|, solved block by block.
 
     In the coordinates of _compress the problem is
@@ -269,7 +262,7 @@ def _gauss_newton_step(
     for f, (p, g) in enumerate(((s.factor1, own1), (s.factor2, own2))):
         if p.kind != "sphere":
             continue
-        M = _jacobian(p, Q[f], Q[1 - f], k[1 - f], fd_step)
+        M = _jacobian(p, Q[f], Q[1 - f], k[1 - f])
         C = M[g.size:]
         if f:
             C = C.reshape(r2, r1, -1).transpose(1, 0, 2).reshape(r1 * r2, -1)
@@ -326,21 +319,21 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
         return trace
 
     for _ in range(cfg.max_iterations):
-        p = _gauss_newton_step(s, r, k, cfg.fd_step)
+        p = _gauss_newton_step(s, r, k)
         lam = 1.0
         accepted = False
-        while p is not None and lam >= cfg.min_step:
+        while p is not None and lam >= MIN_STEP:
             x_try = x + lam * p
             try:
                 s_try, r_try, k_try = _residual(s0, x_try)
             except ValidationError:
-                lam *= cfg.damping  # positivity or smoothness violated
+                lam *= DAMPING  # positivity or smoothness violated
                 continue
             norm_try = np.linalg.norm(r_try)
             if norm_try < norm:
                 accepted = True
                 break
-            lam *= cfg.damping
+            lam *= DAMPING
         if not accepted:
             trace.flag = "stalled"
             trace.surface = s

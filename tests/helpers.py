@@ -1,0 +1,13 @@
+"""Shared test data generators."""
+
+import numpy as np
+
+from bhe.forms import MetricFrame
+
+
+def random_compatible_metric(J: np.ndarray, rng: np.random.Generator) -> MetricFrame:
+    """Random J-compatible positive-definite metric."""
+    n = J.shape[0]
+    A = rng.standard_normal((n, n))
+    P = A @ A.T + n * np.eye(n)
+    return MetricFrame(0.5 * (P + J.T @ P @ J))

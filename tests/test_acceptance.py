@@ -25,6 +25,8 @@ from bhe.frame_geometry import (
     verify_lrho,
 )
 
+from helpers import random_compatible_metric
+
 FLAT_MODELS = ("su2xsu2", "su2xRxC", "hopf")
 
 
@@ -66,7 +68,7 @@ class TestAcceptance:
             base = catalog.get_model("su2xsu2")
             worst_lee = 0.0
             for seed in range(100):
-                mf = catalog.random_compatible_metric(base.J, np.random.default_rng(seed))
+                mf = random_compatible_metric(base.J, np.random.default_rng(seed))
                 m = HermitianModel(base.algebra, mf, base.J)
                 t1, t2 = lee_form_both(m)
                 worst_lee = max(worst_lee, (t1 - t2).sup_norm())
@@ -145,14 +147,19 @@ class TestAcceptance:
                     toric.SphereProfile.round(1.0, n), toric.SphereProfile.flat(1.0, n), 0.0
                 ),
             }.items():
-                vals = [toric.pde_residual(build(n)).sup for n in grids]
+                surfaces = [build(n) for n in grids]
+                vals = [toric.pde_residual(s).sup for s in surfaces]
                 for n, v in zip(grids, vals):
                     assert v <= 0.01 * (4.0 / n) ** 2, (label, n, v)  # C h^2 with C = 0.01
-                orders = toric.observed_orders(vals)
+                floors = [max(toric.roundoff_floor(s.factor1, 2), toric.roundoff_floor(s.factor2, 2))
+                          for s in surfaces]
+                orders = toric.observed_orders(vals, floors)
                 assert all(o == float("inf") or o >= 1.9 for o in orders), (label, vals)
                 sups[label] = max(vals)
             man = [toric.manufactured_truncation_error(2.0, 1e-2, n) for n in grids]
-            man_orders = toric.observed_orders(man)
+            man_floors = [toric.roundoff_floor(toric.SphereProfile.quartic_bump(2.0, n, 1e-2), 2)
+                          for n in grids]
+            man_orders = toric.observed_orders(man, man_floors)
             assert all(o >= 1.9 for o in man_orders), man
             s = toric.ProductSurface(
                 toric.SphereProfile.round(2.0, 64), toric.SphereProfile.round(2.0, 64), 0.5
@@ -188,9 +195,9 @@ class TestAcceptance:
                     toric.SphereProfile.round(1.0, 64), toric.SphereProfile.flat(1.0, 64), 0.0
                 ),
             ):
-                fields, rep = toric.p4d_forward(s)
+                _, rep = toric.p4d_forward(s)
                 worst = max(worst, rep.max_residual())
-                h2 = fields["h_squared"]
+                h2 = max(s.factor1.h, s.factor2.h) ** 2
                 assert rep.max_residual() <= 0.01 * h2, rep.residuals  # C h^2, C = 0.01
                 assert rep.residuals["principal_norm_identity"] <= 0.01 * h2
         except AssertionError:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bhe import catalog
+from helpers import random_compatible_metric
 
 
 class TestContent:
@@ -61,7 +62,7 @@ class TestGenerators:
     def test_random_compatible_metric_properties(self):
         m = catalog.build_model("su2xsu2")
         for seed in range(5):
-            mf = catalog.random_compatible_metric(m.J, np.random.default_rng(seed))
+            mf = random_compatible_metric(m.J, np.random.default_rng(seed))
             assert np.max(np.abs(m.J.T @ mf.g @ m.J - mf.g)) < 1e-12
             assert np.min(np.linalg.eigvalsh(mf.g)) > 0
 

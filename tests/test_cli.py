@@ -174,6 +174,22 @@ def test_pde_residual_memory_peak(tmp_path):
     assert peak <= 7.5 * (n + 1) ** 2 * 8
 
 
+def test_pde_residual_memory_peak_n512(tmp_path):
+    # E and the one work array of its norms; the forward map holds one row
+    # block and no grid, and E is dropped once residual.csv is written
+    n = 512
+    cfg = write_config(tmp_path, n=n, perturb_eps=0.01)
+    argv = ["pde", "residual", "--config", cfg, "--out", str(tmp_path / "res")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * (n + 1) ** 2 * 8
+
+
 def test_huge_half_length_one_stderr_line(tmp_path):
     # a fresh interpreter with numpy's default warning filters: c^2 overflows,
     # and the one line on stderr is the refusal, with no RuntimeWarning
@@ -222,6 +238,25 @@ class TestConverge:
         assert data["grids"] == [64, 128, 256]
         assert all(o == "at-floor" or o >= 1.9 for o in data["residual_orders"])
         assert all(o >= 1.9 for o in data["manufactured_orders"])
+
+    @pytest.mark.parametrize("c", [0.61, 2.05, 2.2, 2.45, 41.0])
+    def test_round_surface_at_floor(self, tmp_path, c):
+        # the exact solution a = 1/c: its round-off grows like h^-4, which
+        # a fixed floor read as negative orders; at c = 0.61 the n = 256
+        # manufactured error is within its floor too
+        cfg = write_config(tmp_path, c1=c, c2=c, a=1.0 / c)
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads(read(out / "converge.json"))
+        assert data["residual_orders"] == data["kappa_orders"] == ["at-floor", "at-floor"]
+        assert data["manufactured_orders"][0] >= 1.9
+
+    def test_inconsistent_class_fails(self, tmp_path):
+        cfg = write_config(tmp_path, c1=2.2, c2=2.2, a=0.3)
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+        data = json.loads(read(out / "converge.json"))
+        assert data["pass"] is False and "at-floor" not in data["residual_orders"]
 
 
 class TestDeterminism:
@@ -321,7 +356,7 @@ class TestCsvWriter:
                 [1e-5, 3.0e-320, -1e99, 1e100, 0.5],
             ]
         )
-        field = toric.PdeResidualField(E, z1, z2)
+        field = toric.PdeResidualField(E, z1, z2, (np.ones(4), np.ones(5)))
         rows = [(z1[i], z2[j], E[i, j]) for i in range(4) for j in range(5)]
         text = b"".join(cli._residual_lines(field))
         assert b"z1,z2,E\n" + text == reference_csv(["z1", "z2", "E"], rows)

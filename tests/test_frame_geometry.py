@@ -30,6 +30,7 @@ from bhe.frame_geometry import (
     ricci_tensor,
     verify_lrho,
 )
+from helpers import random_compatible_metric
 
 
 def su2_algebra():
@@ -159,7 +160,7 @@ class TestConnections:
     def test_koszul_matches_oracle_on_random_metric(self):
         base = catalog.build_model("su2xsu2")
         rng = np.random.default_rng(7)
-        mf = catalog.random_compatible_metric(base.J, rng)
+        mf = random_compatible_metric(base.J, rng)
         m = HermitianModel(base.algebra, mf, base.J)
         assert np.allclose(levi_civita(m).gamma, koszul_oracle(m), atol=1e-12)
 
@@ -180,7 +181,7 @@ class TestConnections:
     def test_metric_compatibility_residual(self):
         base = catalog.build_model("su2xRxC")
         rng = np.random.default_rng(13)
-        mf = catalog.random_compatible_metric(base.J, rng)
+        mf = random_compatible_metric(base.J, rng)
         m = HermitianModel(base.algebra, mf, base.J)
         gamma = levi_civita(m).gamma
         assert np.max(np.abs(gamma + np.swapaxes(gamma, 1, 2))) < 1e-12
@@ -193,7 +194,7 @@ class TestConnections:
         # nabla^B omega = 0 pins the torsion sign on generic Hermitian models
         base = catalog.build_model("su2xsu2")
         rng = np.random.default_rng(19)
-        mf = catalog.random_compatible_metric(base.J, rng)
+        mf = random_compatible_metric(base.J, rng)
         m = HermitianModel(base.algebra, mf, base.J)
         gb = bismut_connection(m)
         nab = covariant_derivative(m.kahler_form().components, gb)
@@ -206,7 +207,7 @@ class TestCurvature:
     def test_matches_definition_oracle(self):
         base = catalog.build_model("su2xsu2")
         rng = np.random.default_rng(23)
-        mf = catalog.random_compatible_metric(base.J, rng)
+        mf = random_compatible_metric(base.J, rng)
         m = HermitianModel(base.algebra, mf, base.J)
         conn = levi_civita(m)
         assert np.allclose(curvature(conn, m.algebra).R, curvature_oracle(conn, m.algebra), atol=1e-11)
@@ -247,7 +248,7 @@ class TestCurvature:
     def test_first_bianchi_levi_civita(self):
         base = catalog.build_model("su2xsu2")
         rng = np.random.default_rng(29)
-        mf = catalog.random_compatible_metric(base.J, rng)
+        mf = random_compatible_metric(base.J, rng)
         m = HermitianModel(base.algebra, mf, base.J)
         R = curvature(levi_civita(m), m.algebra).R
         cyc = R + np.einsum("bcad->abcd", R) + np.einsum("cabd->abcd", R)
@@ -282,7 +283,7 @@ class TestLeeForm:
         base = catalog.build_model("su2xsu2")
         worst = 0.0
         for seed in range(100):
-            mf = catalog.random_compatible_metric(base.J, np.random.default_rng(seed))
+            mf = random_compatible_metric(base.J, np.random.default_rng(seed))
             m = HermitianModel(base.algebra, mf, base.J)
             t1, t2 = lee_form_both(m)
             worst = max(worst, (t1 - t2).sup_norm())

@@ -96,7 +96,7 @@ class TestGaussCurvature:
     def test_quartic_bump_second_order(self):
         # kappa of the quartic-bump profile against its exact polynomial value
         kap_exact = poly_kappa(2.0, 1e-2)
-        errs = []
+        errs, floors = [], []
         for n in (64, 128, 256):
             z = -2.0 + (4.0 / n) * np.arange(n + 1)
             P = np.polynomial.Polynomial
@@ -104,7 +104,8 @@ class TestGaussCurvature:
             theta_q = (4.0 - zz**2) / 2.0 + 1e-2 * (4.0 - zz**2) ** 2
             pq = SphereProfile(2.0, n, theta_q(z), "sphere")
             errs.append(float(np.max(np.abs(toric.gauss_curvature(pq) - kap_exact(z)))))
-        orders = toric.observed_orders(errs)
+            floors.append(toric.roundoff_floor(pq, 1))
+        orders = toric.observed_orders(errs, floors)
         assert all(o == float("inf") or o > 1.9 for o in orders), (errs, orders)
 
     def test_gauss_bonnet_for_arbitrary_profiles(self):
@@ -157,9 +158,41 @@ class TestResidual:
         assert np.allclose(field.E, -0.5)
 
     def test_manufactured_truncation_order(self):
-        errs = [toric.manufactured_truncation_error(2.0, 1e-2, n) for n in (64, 128, 256)]
-        orders = toric.observed_orders(errs)
+        grids = (64, 128, 256)
+        errs = [toric.manufactured_truncation_error(2.0, 1e-2, n) for n in grids]
+        floors = [toric.roundoff_floor(SphereProfile.quartic_bump(2.0, n, 1e-2), 2) for n in grids]
+        orders = toric.observed_orders(errs, floors)
         assert all(o >= 1.9 for o in orders), (errs, orders)
+
+
+class TestRoundoffFloor:
+    # K is pinned from both sides: an exact round surface sits at its floors
+    # (over c in [0.3, 150], which a floor linear in max|Theta| misses above
+    # c = 40), and the manufactured truncation error stays above its own
+
+    @pytest.mark.parametrize("c", [0.3, 0.61, 2.05, 2.2, 2.45, 41.0, 150.0])
+    def test_round_surface_at_its_floors(self, c):
+        for n in (64, 128, 256):
+            p = SphereProfile.round(c, n)
+            assert toric.pde_residual(ProductSurface(p, p, 1.0 / c)).sup <= toric.roundoff_floor(p, 2)
+            assert np.abs(toric.gauss_curvature(p) - 1.0 / c).max() <= toric.roundoff_floor(p, 1)
+
+    @pytest.mark.parametrize("c", [2.05, 2.2, 2.25, 2.45])
+    def test_manufactured_error_above_its_floor(self, c):
+        for n in (64, 128, 256):
+            bump = SphereProfile.quartic_bump(c, n, 1e-2)
+            assert toric.manufactured_truncation_error(c, 1e-2, n) > toric.roundoff_floor(bump, 2)
+
+    def test_flat_factor_has_no_floor(self):
+        assert toric.roundoff_floor(SphereProfile.flat(2.0, 64), 2) == 0.0
+
+    def test_orders_use_one_floor_per_value(self):
+        # the finer value at its floor gives no order; the coarser one's floor
+        # does not matter
+        assert toric.observed_orders([1.0, 3.0, 0.75], [9.0, 4.0, 0.5]) == [float("inf"), 2.0]
+        assert toric.observed_orders([8.0, 1.0], [1.0, 1.0]) == [float("inf")]
+        assert toric.observed_orders([2.0, 1.0], [1.0, 0.5]) == [1.0]
+        assert toric.observed_orders([2.0, 0.0], [0.0, 0.0]) == [float("inf")]
 
 
 class TestClassDatum:
@@ -233,17 +266,18 @@ class TestTopology:
 class TestForwardMap:
     def test_round22_halved_class(self):
         s = ProductSurface(SphereProfile.round(2.0, 64), SphereProfile.round(2.0, 64), 0.5)
-        fields, rep = toric.p4d_forward(s)
-        assert np.max(np.abs(fields["f"])) == 0.0
+        _, rep = toric.p4d_forward(s)
+        k1, k2 = toric.ricci_form_coeffs(s)
+        assert np.max(np.abs(np.log(k1[:, None] + k2))) == 0.0  # f = log(R/2)
         assert rep.max_residual() < 1e-13
         assert rep.residuals["principal_trace_JV"] == 0.0
 
     def test_ruled_surface_rank_degenerate_ricci(self):
         s = ProductSurface(SphereProfile.round(1.0, 64), SphereProfile.flat(1.0, 64), 0.0)
-        fields, rep = toric.p4d_forward(s)
+        _, rep = toric.p4d_forward(s)
         assert rep.max_residual() < 1e-13
-        k1, k2 = fields["ricci_eigenvalue_samples"]
-        assert k1 == pytest.approx(1.0) and k2 == pytest.approx(0.0)
+        k1, k2 = toric.ricci_form_coeffs(s)
+        assert k1[len(k1) // 2] == pytest.approx(1.0) and k2[len(k2) // 2] == pytest.approx(0.0)
 
     def test_rescaled_areas_violate_normalization(self):
         # doubling both half-lengths halves the curvatures: the class datum
@@ -271,7 +305,8 @@ class TestForwardMap:
             _, rep = toric.p4d_forward(s)
             # the conformally-balanced residual is the h^2-limited entry here
             sups.append(rep.residuals["transverse_lee_is_df"])
-        orders = toric.observed_orders(sups)
+        # no floor: the h^2 truncation error is far above round-off here
+        orders = toric.observed_orders(sups, [0.0] * len(sups))
         assert all(o == float("inf") or o > 1.8 for o in orders), (sups, orders)
 
 
@@ -289,11 +324,9 @@ def whole_grid_residual(s):
     return 0.5 * lap - 2.0 * np.outer(k1, k2) + 2.0 * s.a**2, R
 
 
-def whole_grid_norms(E, weights=None):
+def whole_grid_norms(E, weights):
     """(sup, l2) of E with the full (n+1)^2 weight matrix."""
     sup = float(np.max(np.abs(E)))
-    if weights is None:
-        return sup, float(np.sqrt(np.mean(E**2)))
     return sup, float(np.sqrt(np.sum(E**2 * np.outer(*weights))))
 
 
@@ -329,7 +362,7 @@ def whole_grid_forward(s):
     rep.record("principal_norm_identity", float(np.max(np.abs(norm_id - 1.0))))
     h2 = max(s.factor1.h, s.factor2.h) ** 2
     rep.notes["C_estimate"] = repr(rep.max_residual() / h2)
-    return rep.residuals, rep.notes, (R, f, ef)
+    return rep.residuals, rep.notes
 
 
 def layout_surface(layout, n, mode="odd", a=0.0, c=2.2, eps=0.01):
@@ -378,11 +411,10 @@ class TestRowBlocks:
         for mode in ("odd", "even"):
             for a in (0.0, 1.0 / 2.2, 0.3):
                 s = layout_surface(layout, n, mode, a)
-                fields, rep = toric.p4d_forward(s)
-                residuals, notes, (R, f, ef) = whole_grid_forward(s)
+                C, rep = toric.p4d_forward(s)
+                residuals, notes = whole_grid_forward(s)
                 assert rep.residuals == residuals and rep.notes == notes, (mode, a)
-                for got, want in zip((fields["R"], fields["f"], fields["conformal_factor"]), (R, f, ef)):
-                    assert np.array_equal(got, want)
+                assert C == rep.max_residual() / max(s.factor1.h, s.factor2.h) ** 2
 
     @pytest.mark.parametrize("block", [1, 40])
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -409,6 +441,38 @@ class TestRowBlocks:
         with pytest.raises(ValidationError) as got:
             toric.p4d_forward(s)
         assert str(got.value) == str(want.value)
+
+
+class TestPositiveCurvatureGate:
+    def test_factor_minima_equal_whole_grid_minimum(self):
+        # rounding is monotone, so 2 min k1 + 2 min k2 is the least R on the
+        # grid exactly, and the gate trips on the same surfaces
+        rng = np.random.default_rng(2025)
+        tripped = passed = 0
+        for _ in range(1000):
+            n = int(rng.integers(16, 40))
+            c = float(rng.uniform(1.0, 3.0))
+            try:
+                p1 = SphereProfile.round_perturbed(c, n, float(rng.uniform(-0.15, 0.15)),
+                                                   str(rng.choice(["odd", "even"])))
+                p2 = (SphereProfile.flat(c, n, float(rng.uniform(0.5, 2.0))) if rng.random() < 0.3
+                      else SphereProfile.round_perturbed(c, n, float(rng.uniform(-0.05, 0.05)), "even"))
+            except ValidationError:  # a profile that turns nonpositive
+                continue
+            s = ProductSurface(p1, p2)
+            k1, k2 = toric.ricci_form_coeffs(s)
+            assert 2.0 * k1.min() + 2.0 * k2.min() == np.min(2.0 * k1[:, None] + 2.0 * k2[None, :])
+            try:
+                want = whole_grid_forward(s)
+            except ValidationError as exc:
+                tripped += 1
+                with pytest.raises(ValidationError) as got:
+                    toric.p4d_forward(s)
+                assert str(got.value) == str(exc)
+                continue
+            passed += 1
+            assert toric.p4d_forward(s)[1].residuals == want[0]
+        assert tripped >= 100 and passed >= 100, (tripped, passed)
 
 
 class TestSeparableResidual:
@@ -444,8 +508,6 @@ class TestSeparableResidual:
         field = toric.pde_residual(s)
         weights = (s.factor1.weights(), s.factor2.weights())
         assert (field.sup, field.l2) == whole_grid_norms(field.E, weights)
-        bare = toric.PdeResidualField(field.E, field.z1, field.z2)
-        assert (bare.sup, bare.l2) == whole_grid_norms(field.E)
 
     def test_manufactured_error_matches_whole_grid(self):
         # the exact residual of the quartic bump, built on the full grid
@@ -480,6 +542,12 @@ class TestMemory:
         assert peak_grids(lambda: toric.pde_residual(s), 256) <= 3.1
 
     def test_forward_map_peak(self):
-        # R, f and e^f, plus one row block of temporaries
+        # one row block of R, f, e^f and their temporaries, and no grid
         s = layout_surface("sphere-sphere", 256, "odd", 0.5, c=2.0)
-        assert peak_grids(lambda: toric.p4d_forward(s), 256) <= 5.1
+        assert peak_grids(lambda: toric.p4d_forward(s), 256) <= 2.6
+
+    def test_forward_map_peak_shrinks_with_n(self):
+        # the block holds at most BLOCK_VALUES values, so at n=512 it is
+        # a smaller share of a grid
+        s = layout_surface("sphere-sphere", 512, "odd", 0.5, c=2.0)
+        assert peak_grids(lambda: toric.p4d_forward(s), 512) <= 1.0
