@@ -76,11 +76,9 @@ def compatible_symmetric(J: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (S + J.T @ S @ J)
 
 
-def perturbed_model(
-    base: HermitianModel, eps: float, seed: int = 20250423, name: str = ""
-) -> HermitianModel:
-    """J-compatible metric perturbation of a model; generically not BHE."""
-    rng = np.random.default_rng(seed)
+def perturbed_model(base: HermitianModel, eps: float, name: str = "") -> HermitianModel:
+    """Seeded J-compatible metric perturbation of a model; generically not BHE."""
+    rng = np.random.default_rng(20250423)
     S = compatible_symmetric(base.J, rng)
     g = base.metric.g + eps * S
     return HermitianModel(base.algebra, MetricFrame(g), base.J, f=base.f, name=name)

@@ -40,6 +40,7 @@ import numpy as np
 
 from . import _format, catalog, reduction, solver, toric
 from .frame_geometry import (
+    BHE_TOL,
     HermitianModel,
     KahlerInputError,
     ValidationError,
@@ -47,6 +48,7 @@ from .frame_geometry import (
     covariant_derivative,
     exterior_derivative,
     gauduchon_residual,
+    is_pluriclosed,
     nijenhuis,
     verify_lrho,
 )
@@ -257,7 +259,7 @@ def model_report(m: HermitianModel) -> Report:
     rep.record("bismut_parallel_V", float(np.abs(covariant_derivative(eta, gb)).max()))
     rep.record("bismut_parallel_JV", float(np.abs(covariant_derivative(jeta, gb)).max()))
     rep.record("gauduchon", gauduchon_residual(m))
-    pluriclosed = dH.sup_norm() <= 1e-10 * max(1.0, H.sup_norm())
+    pluriclosed = is_pluriclosed(H, dH)
     if pluriclosed:
         rep.merge(verify_lrho(m))
     else:
@@ -267,7 +269,7 @@ def model_report(m: HermitianModel) -> Report:
     if vnorm2 < 1e-12:
         rep.notes["reduction"] = "V vanishes: Kahler Calabi-Yau; reduction suite skipped"
         return rep
-    if not pluriclosed or rep.residuals["bismut_ricci_flat"] > 1e-10:
+    if not pluriclosed or rep.residuals["bismut_ricci_flat"] > BHE_TOL:
         rep.notes["reduction"] = "skipped: model is not BHE"
         return rep
     rep.merge(reduction.identity_suite(reduction.reduce(m)))

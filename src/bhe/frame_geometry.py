@@ -288,6 +288,14 @@ def bhe_residual(m: HermitianModel) -> float:
     return bismut_ricci_form(m).sup_norm()
 
 
+BHE_TOL = 1e-10  # a model with bhe_residual(m) <= BHE_TOL counts as BHE
+
+
+def is_pluriclosed(H: FormTensor, dH: FormTensor) -> bool:
+    """Whether the torsion H counts as closed: |dH| <= 1e-10 * max(1, |H|)."""
+    return dH.sup_norm() <= 1e-10 * max(1.0, H.sup_norm())
+
+
 # ---------------------------------------------------------------------------
 # Lee form and identity verifiers
 # ---------------------------------------------------------------------------
@@ -328,7 +336,7 @@ def h2_tensor(H: FormTensor, g: MetricFrame) -> np.ndarray:
     return np.einsum("apq,bst,ps,qt->ab", H.components, H.components, g.inv, g.inv)
 
 
-def verify_lrho(m: HermitianModel, pluriclosed_tol: float = 1e-10) -> Report:
+def verify_lrho(m: HermitianModel) -> Report:
     """Check both components of the Bismut Ricci form identity.
 
     The (1,1) part against Rc - H^2/4 + Lie_theta# g / 2, the (2,0)+(0,2)
@@ -338,8 +346,7 @@ def verify_lrho(m: HermitianModel, pluriclosed_tol: float = 1e-10) -> Report:
     geo = m.geometry
     H = geo.H
     dH = exterior_derivative(H, m.algebra)
-    scale = max(1.0, H.sup_norm())
-    if dH.sup_norm() > pluriclosed_tol * scale:
+    if not is_pluriclosed(H, dH):
         raise ValidationError(
             f"model is not pluriclosed (|dH| = {dH.sup_norm():.3e}); identity undefined"
         )
@@ -489,6 +496,7 @@ __all__ = [
     "ricci_tensor",
     "bismut_ricci_form",
     "bhe_residual",
+    "is_pluriclosed",
     "lee_form",
     "lee_form_both",
     "lee_vector",

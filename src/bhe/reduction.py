@@ -44,6 +44,7 @@ from .forms import (
     wedge,
 )
 from .frame_geometry import (
+    BHE_TOL,
     ConnectionCoeffs,
     HermitianModel,
     KahlerInputError,
@@ -51,7 +52,6 @@ from .frame_geometry import (
     ValidationError,
     _read_only,
     bhe_residual,
-    change_frame,
     covariant_derivative,
     exterior_derivative,
     lee_form,
@@ -163,16 +163,16 @@ def _horizontal_frame(m: HermitianModel, V: np.ndarray, JV: np.ndarray) -> np.nd
     return np.stack(cols, axis=1)
 
 
-def reduce(m: HermitianModel, bhe_tol: float = 1e-10) -> ReductionData:
+def reduce(m: HermitianModel) -> ReductionData:
     """Split a BHE model along its canonical torus symmetry.
 
     Rescales the metric so the Lee vector field has unit length; rejects
     Kahler input (vanishing Lee vector field) and models that are not
-    Bismut-Ricci-flat to within `bhe_tol`.
+    Bismut-Ricci-flat to within `BHE_TOL`.
     """
     res = bhe_residual(m)
-    if res > bhe_tol:
-        raise ValidationError(f"model is not BHE (|rho_B| = {res:.3e} > {bhe_tol:.1e})")
+    if res > BHE_TOL:
+        raise ValidationError(f"model is not BHE (|rho_B| = {res:.3e} > {BHE_TOL:.1e})")
     V0 = m.geometry.V
     nrm2 = float(V0 @ m.metric.g @ V0)
     if nrm2 < 1e-12:
@@ -312,8 +312,13 @@ def dilaton_scalar(r: ReductionData) -> float:
     return float((ht * ht).sum() / 6.0 + 0.5 * ((fv * fv).sum() + (fjv * fjv).sum()))
 
 
-def einstein_maxwell_residual(r: ReductionData, frame_samples: int = 6) -> Report:
-    """The twisted Einstein-Maxwell system of the transverse geometry."""
+def einstein_maxwell_residual(r: ReductionData) -> Report:
+    """The twisted Einstein-Maxwell system of the transverse geometry.
+
+    The dilaton (1/6)|H^T|^2 + (1/2)|F|^2 = (1/6)|H|^2 is the constant 1:
+    (1/6)|H|^2 = |V|^2 on a BHE model, and `reduce` rescales to |V| = 1.
+    ``dilaton_constancy`` records the distance to 1.
+    """
     m = r.parent
     rep = Report("einstein_maxwell")
     RT = r.R_T
@@ -338,18 +343,8 @@ def einstein_maxwell_residual(r: ReductionData, frame_samples: int = 6) -> Repor
         twist = -0.5 * np.einsum("jab,ab->j", ht, F)
         rep.record(f"principal_coclosed_{label}", np.abs(dstar + twist).max())
 
-    base = dilaton_scalar(r)
-    spread = 0.0
-    rng = np.random.default_rng(12345)
-    for _ in range(frame_samples):
-        A = rng.standard_normal((m.dim, m.dim))
-        S = A - A.T
-        S = 0.5 * (S - m.J @ S @ m.J)  # commutes with J, stays skew
-        Q = np.linalg.solve(np.eye(m.dim) - 0.5 * S, np.eye(m.dim) + 0.5 * S)
-        m2 = change_frame(m, Q)
-        r2 = reduce(m2)
-        spread = max(spread, abs(dilaton_scalar(r2) - base))
-    rep.record("dilaton_constancy", spread, note=f"value = {base!r}")
+    value = dilaton_scalar(r)
+    rep.record("dilaton_constancy", value - 1.0, note=f"value = {value!r}")
     return rep
 
 

@@ -19,11 +19,9 @@ class Report:
         if note is not None:
             self.notes[key] = note
 
-    def merge(self, other: "Report", prefix: str = "") -> None:
-        for k, v in other.residuals.items():
-            self.residuals[prefix + k] = v
-        for k, v in other.notes.items():
-            self.notes[prefix + k] = v
+    def merge(self, other: "Report") -> None:
+        self.residuals.update(other.residuals)
+        self.notes.update(other.notes)
 
     def max_residual(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0
@@ -31,17 +29,11 @@ class Report:
     def passes(self, tol: float) -> bool:
         return all(v <= tol for v in self.residuals.values())
 
-    def to_dict(self, tol: float | None = None) -> dict:
+    def to_dict(self, tol: float) -> dict:
         checks = []
         for k, v in self.residuals.items():
-            entry: dict = {"name": k, "residual": v}
-            if tol is not None:
-                entry["pass"] = bool(v <= tol)
+            entry: dict = {"name": k, "residual": v, "pass": bool(v <= tol)}
             if k in self.notes:
                 entry["note"] = self.notes[k]
             checks.append(entry)
-        out: dict = {"name": self.name, "checks": checks}
-        if tol is not None:
-            out["tolerance"] = tol
-            out["pass"] = self.passes(tol)
-        return out
+        return {"name": self.name, "checks": checks, "tolerance": tol, "pass": self.passes(tol)}

@@ -1,11 +1,13 @@
 """Torus reduction, component identity suites, and total-space assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bhe import catalog, reduction
 from bhe.cli import model_report
-from bhe.forms import FormTensor, MetricFrame
+from bhe.forms import FormTensor, MetricFrame, j_conjugate, norm2
 from bhe.frame_geometry import (
     HermitianModel,
     KahlerInputError,
@@ -105,7 +107,7 @@ class TestStructureResiduals:
 
     def test_einstein_maxwell(self, reduced):
         for name, r in reduced.items():
-            rep = reduction.einstein_maxwell_residual(r, frame_samples=4)
+            rep = reduction.einstein_maxwell_residual(r)
             assert rep.max_residual() < 1e-12, (name, rep.residuals)
 
     def test_transverse_ricci_eigenvalues(self, reduced):
@@ -117,8 +119,56 @@ class TestStructureResiduals:
         assert np.allclose(eig, [0.0, 0.0, 1.0, 1.0])
 
     def test_dilaton_value_is_unity_on_catalog(self, reduced):
-        for r in reduced.values():
-            assert reduction.dilaton_scalar(r) == pytest.approx(1.0, abs=1e-12)
+        # J-rotations with metric scales, and general 5% and 20% shears
+        rng = np.random.default_rng(7)
+        for name, r in reduced.items():
+            m = catalog.build_model(name)
+            n = m.dim
+            models = []
+            for _ in range(3):
+                A = rng.standard_normal((n, n))
+                S = A - A.T
+                S = 0.5 * (S - m.J @ S @ m.J)
+                Q = np.linalg.solve(np.eye(n) - 0.5 * S, np.eye(n) + 0.5 * S)
+                models.append(scale_metric(change_frame(m, Q), float(rng.uniform(0.5, 2.0))))
+                for size in (0.05, 0.2):
+                    models.append(change_frame(m, np.eye(n) + size * rng.standard_normal((n, n))))
+            assert reduction.dilaton_scalar(r) == pytest.approx(1.0, abs=1e-12), name
+            for variant in models:
+                value = reduction.dilaton_scalar(reduction.reduce(variant))
+                assert value == pytest.approx(1.0, abs=1e-12), name
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1.7])
+    def test_torsion_norm_is_lee_norm(self, scale):
+        # (1/6)|H|^2 = |V|^2 at every metric scale, so the unit-|V| rescaling
+        # in reduce() fixes the dilaton at 1
+        for name in ("su2xsu2", "su2xRxC", "hopf"):
+            m = scale_metric(catalog.build_model(name), scale)
+            V = m.geometry.V
+            lee2 = float(V @ m.metric.g @ V)
+            assert norm2(m.geometry.H, m.metric) / 6.0 == pytest.approx(lee2, abs=1e-13), name
+
+    def test_dilaton_constancy_catches_a_dropped_half(self, reduced, monkeypatch):
+        def dilaton_without_half(r):
+            ht = r.restrict3(r.H_T)
+            fv = r.restrict2(r.F_V)
+            fjv = r.restrict2(r.F_JV)
+            return float((ht * ht).sum() / 6.0 + (fv * fv).sum() + (fjv * fjv).sum())
+
+        monkeypatch.setattr(reduction, "dilaton_scalar", dilaton_without_half)
+        for name, r in reduced.items():
+            rep = reduction.einstein_maxwell_residual(r)
+            assert rep.residuals["dilaton_constancy"] >= 0.5, name
+
+    def test_dilaton_constancy_catches_a_transposed_pullback(self):
+        # in a sheared frame the horizontal projector P is not symmetric, so
+        # pulling H back through P.T instead of P gives a wrong H^T
+        S = np.eye(6) + 0.05 * np.random.default_rng(20240823).standard_normal((6, 6))
+        r = reduction.reduce(change_frame(catalog.build_model("su2xsu2"), S))
+        P = np.eye(6) - np.outer(r.V, r.eta.components) - np.outer(r.JV, r.Jeta.components)
+        bad = dataclasses.replace(r, H_T=j_conjugate(r.parent.geometry.H, P.T))
+        assert reduction.einstein_maxwell_residual(r).residuals["dilaton_constancy"] <= 1e-12
+        assert reduction.einstein_maxwell_residual(bad).residuals["dilaton_constancy"] > 1e-3
 
     def test_torsion_norm_factor_calibration(self, reduced):
         # the full-sum norm convention is the one under which the total and

@@ -59,15 +59,14 @@ class TestGeometryCache:
         assert rep.passes(1e-12)
         assert set(counts.values()) == {1}, {k: v for k, v in counts.items() if v != 1}
         per_function = Counter(k[0] for k in counts)
-        # the variant, its unit-|V| rescaling and six rotated frames in
-        # dilaton_constancy; the parent code computed levi_civita 36 times
-        assert per_function["levi_civita"] == 8
-        assert per_function["bismut_torsion"] == 8
-        # every model needs its Bismut curvature (bhe_residual); only the
-        # variant (verify_lrho) and its rescaling (transverse curvature)
-        # need the Riemann curvature
+        # the variant and its unit-|V| rescaling
+        assert per_function["levi_civita"] == 2
+        assert per_function["bismut_torsion"] == 2
+        # both models need their Bismut curvature (bhe_residual) and their
+        # Riemann curvature: the variant for verify_lrho, its rescaling for
+        # the transverse curvature
         flavors = Counter(k[2] for k in counts if k[0] == "curvature")
-        assert flavors == {"levi_civita": 2, "bismut": 8}
+        assert flavors == {"levi_civita": 2, "bismut": 2}
         # the reduction suites share one transverse curvature and connection
         assert per_function["transverse_curvature"] == 1
         assert per_function["transverse_connection"] == 1
