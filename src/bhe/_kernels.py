@@ -23,25 +23,20 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
-_PERM_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def perm_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Permutations of range(m) as an (m!, m) int array plus their signs."""
-    if m not in _PERM_CACHE:
-        perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
-        perms = perms.reshape(-1, m)
-        signs = np.empty(len(perms))
-        for i, p in enumerate(perms):
-            # count inversions
-            inv = sum(1 for a in range(m) for b in range(a + 1, m) if p[a] > p[b])
-            signs[i] = -1.0 if inv % 2 else 1.0
-        _PERM_CACHE[m] = (perms, signs)
-    return _PERM_CACHE[m]
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    perms = perms.reshape(-1, m)
+    signs = np.empty(len(perms))
+    for i, p in enumerate(perms):
+        # count inversions
+        inv = sum(1 for a in range(m) for b in range(a + 1, m) if p[a] > p[b])
+        signs[i] = -1.0 if inv % 2 else 1.0
+    return perms, signs
 
 
 @functools.cache
@@ -129,7 +124,3 @@ def connection_core(G: np.ndarray, T: np.ndarray) -> np.ndarray:
         contr = (G2 @ Ts.reshape(n, -1)).reshape((n_a, n_b) + Ts.shape[1:])
         out -= contr.transpose(back)
     return out
-
-
-def factorial(m: int) -> int:
-    return math.factorial(m)

@@ -203,7 +203,7 @@ class RunConfig:
             raise ValidationError("factor kinds must be 'sphere' or 'flat-torus'")
 
 
-def _surface_config(path: str, command: str) -> RunConfig:
+def _surface_config(path: str, command: str, out: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -215,7 +215,7 @@ def _surface_config(path: str, command: str) -> RunConfig:
     bad = set(raw) - known
     if bad:
         raise ValidationError(f"unknown config keys: {sorted(bad)}")
-    return RunConfig(command=command, **raw)
+    return RunConfig(command=command, out=out, **raw)
 
 
 def _build_surface(cfg: RunConfig, n: int | None = None, perturbed: bool = False) -> toric.ProductSurface:
@@ -371,7 +371,6 @@ def _diagnostics(s: toric.ProductSurface, sup: float, l2: float) -> dict:
         "residual_sup": sup,
         "residual_l2": l2,
         "topology": toric.topo_invariants(s),
-        "harmonic_asd": toric.harmonic_asd(s).residuals,
     }
     try:
         C, rep = toric.p4d_forward(s)
@@ -529,16 +528,12 @@ def main(argv: list[str] | None = None) -> int:
             return run_reduce(cfg)
         if args.command == "pde":
             command = f"pde-{args.pde_command}"
-            cfg = _surface_config(args.config, command)
-            cfg = RunConfig(**{**cfg.__dict__, "out": args.out})
+            cfg = _surface_config(args.config, command, args.out)
             if command == "pde-solve":
                 return run_pde_solve(cfg)
             return run_pde_residual(cfg)
-        if args.command == "converge":
-            cfg = _surface_config(args.config, "converge")
-            cfg = RunConfig(**{**cfg.__dict__, "out": args.out})
-            return run_converge(cfg)
-        raise ValidationError(f"unrecognized command {args.command!r}")
+        # argparse admits no command but these four
+        return run_converge(_surface_config(args.config, "converge", args.out))
     except (ValidationError, KahlerInputError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"bhe: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

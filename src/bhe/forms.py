@@ -15,6 +15,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,7 +151,7 @@ def wedge(a: FormTensor, b: FormTensor) -> FormTensor:
     if l == 0:
         return FormTensor._of(k, a.dim, float(b.components) * a.components)
     T = np.multiply.outer(a.components, b.components)
-    comp = _kernels.alt_sum(T) / (_kernels.factorial(k) * _kernels.factorial(l))
+    comp = _kernels.alt_sum(T) / (math.factorial(k) * math.factorial(l))
     return FormTensor._of(k + l, a.dim, comp)
 
 

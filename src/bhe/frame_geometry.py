@@ -171,15 +171,12 @@ class ConnectionCoeffs:
     def dim(self) -> int:
         return self.gamma.shape[0]
 
+    @cached_property
     def raised(self) -> np.ndarray:
         """Gamma[a, b, m] with the last index raised: nabla_a e_b = G[a,b,m] e_m.
 
         Computed once per connection; the array is read-only.
         """
-        return self._raised
-
-    @cached_property
-    def _raised(self) -> np.ndarray:
         G = np.einsum("abc,cm->abm", self.gamma, self.metric.inv)
         G.flags.writeable = False
         return G
@@ -223,7 +220,7 @@ def exterior_derivative(b: FormTensor, algebra: StructureAlgebra) -> FormTensor:
 
 def covariant_derivative(T: np.ndarray, conn: ConnectionCoeffs) -> np.ndarray:
     """(nabla_a T)_{b1..bk} for an all-lower-index invariant tensor."""
-    return _kernels.connection_core(conn.raised(), np.asarray(T, dtype=float))
+    return _kernels.connection_core(conn.raised, np.asarray(T, dtype=float))
 
 
 def codifferential(b: FormTensor, conn: ConnectionCoeffs) -> FormTensor:
@@ -265,7 +262,7 @@ def bismut_connection(m: HermitianModel) -> ConnectionCoeffs:
 
 def curvature(conn: ConnectionCoeffs, algebra: StructureAlgebra) -> CurvatureTensor:
     """R_abcd from the quadratic-plus-bracket formula for invariant data."""
-    G = conn.raised()
+    G = conn.raised
     quad = np.einsum("bce,aed->abcd", G, conn.gamma)
     brk = np.einsum("abe,ecd->abcd", algebra.c, conn.gamma)
     R = quad - quad.swapaxes(0, 1) - brk

@@ -299,11 +299,6 @@ def transverse_connection(r: ReductionData) -> np.ndarray:
     return pullback(r.parent.geometry.lc.gamma, E, E, E)
 
 
-def _transverse_covariant(gammaT: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(nabla^T_a T)_{b...} in the orthonormal horizontal frame."""
-    return _kernels.connection_core(gammaT, T)
-
-
 def dilaton_scalar(r: ReductionData) -> float:
     """(1/6)|H^T|^2 + (1/2)|F|^2 + Lap f - |grad f|^2 (f constant here)."""
     ht = r.restrict3(r.H_T)
@@ -338,7 +333,7 @@ def einstein_maxwell_residual(r: ReductionData) -> Report:
 
     gammaT = r.gamma_T
     for label, F in (("V", fv), ("JV", fjv)):
-        nab = _transverse_covariant(gammaT, F)
+        nab = _kernels.connection_core(gammaT, F)
         dstar = -np.einsum("aab->b", nab)
         twist = -0.5 * np.einsum("jab,ab->j", ht, F)
         rep.record(f"principal_coclosed_{label}", np.abs(dstar + twist).max())
@@ -381,7 +376,7 @@ def lemma_suite(r: ReductionData) -> Report:
     RBh = pullback(RB, E, E, E, E)
     RT = r.R_T
     gammaT = r.gamma_T
-    nab_ht = _transverse_covariant(gammaT, ht)
+    nab_ht = _kernels.connection_core(gammaT, ht)
     ht_terms = (
         nab_ht
         - np.transpose(nab_ht, (1, 0, 2, 3))

@@ -344,26 +344,8 @@ def _row_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# harmonic anti-self-dual representative and class data
+# class data
 # ---------------------------------------------------------------------------
-
-
-def harmonic_asd(s: ProductSurface) -> Report:
-    """alpha = a (omega_1 - omega_2): closed, primitive, anti-self-dual.
-
-    The factor area forms are parallel for the product metric, so this IS
-    the harmonic representative of its class; the checks below are exact
-    coefficient identities, recorded as residuals for uniformity.
-    """
-    a = s.a
-    rep = Report("harmonic_asd")
-    rep.record("closed", 0.0, note="constant coefficients against parallel area forms")
-    rep.record("primitive_trace", (2.0 * a) - (2.0 * a))
-    # star swaps the pair: *(P, Q) = (Q, P), so *(a, -a) = -(a, -a)
-    rep.record("anti_self_dual", abs((-a) - (-a)))
-    rep.record("norm2_minus_4a2", abs(2 * a * a + 2 * a * a - 4 * a * a),
-               note=f"|alpha|^2 = {4 * a * a!r}")
-    return rep
 
 
 def _kappa_integral(p: SphereProfile) -> float:
@@ -376,26 +358,21 @@ def _self_intersection(a: float, area1: float, area2: float) -> float:
 
 
 def topo_invariants(s: ProductSurface) -> dict:
-    """Quadrature values of the intersection data (Omega.A, A.A, c1^2).
+    """Quadrature values of the intersection data (A.A, c1^2) and Gauss-Bonnet integrals.
 
     ProductSurface refuses a surface for which these overflow.
     """
-    # omega ^ alpha has pointwise coefficient 1*(-a) + 1*(+a) = 0
-    omega_dot_a = 0.0
     a_dot_a = _self_intersection(s.a, s.factor1.area, s.factor2.area)
     k1 = _kappa_integral(s.factor1)
     k2 = _kappa_integral(s.factor2)
     c1_sq = 2.0 * k1 * k2
-    out = {
-        "Omega_dot_A": omega_dot_a,
+    return {
         "A_dot_A": a_dot_a,
         "c1_squared": c1_sq,
-        "constraint_defect_orthogonality": abs(omega_dot_a),
         "constraint_defect_selfintersection": abs(a_dot_a + c1_sq),
         "gauss_bonnet_factor1": k1 if s.factor1.kind == "sphere" else 0.0,
         "gauss_bonnet_factor2": k2 if s.factor2.kind == "sphere" else 0.0,
     }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +405,11 @@ def p4d_forward(s: ProductSurface) -> tuple[float, Report]:
 
     g^T = (R/2) g_K, F_V = alpha, F_JV = -rho, f = log(R/2); requires R > 0
     everywhere.  Returns max residual / h^2 (also noted in the report as
-    C_estimate) and the report.
+    C_estimate) and the report.  Only identities that the differences can
+    break are recorded: alpha is primitive and tr F_JV = -R e^-f = -2 by
+    construction.
 
-    The forward map holds one row block at a time: R, e^f and f are built
+    The forward map holds one row block at a time: e^f = R/2 and f are built
     for each block of _row_blocks straight from the curvature pair, with
     its halo rows (_halo_rows) for the differences along the first factor,
     so every grid value gets the same stencil and arithmetic as on the
@@ -447,19 +426,17 @@ def p4d_forward(s: ProductSurface) -> tuple[float, Report]:
     th2 = p2.theta[None, :]
 
     # running maxima of: lee along factor 1 and factor 2 (conformally
-    # balanced, d(e^f) = e^f df), JV trace, anomaly cancellation, norm identity
-    worst = np.zeros(5)
+    # balanced, d(e^f) = e^f df), anomaly cancellation, norm identity
+    worst = np.zeros(4)
     for i0, i1 in _row_blocks(k1.size, k2.size):
         rows, keep = _halo_rows(p1, i0, i1)
-        R_h = 2.0 * k1[rows, None] + 2.0 * k2
-        ef_h = R_h / 2.0
+        ef_h = (2.0 * k1[rows, None] + 2.0 * k2) / 2.0
         f_h = np.log(ef_h)
         fb, efb = f_h[keep], ef_h[keep]
         df1 = _d1(p1, f_h)[keep]
         df2 = _d1(p2, fb, axis=1)
         lee1 = np.abs(_d1(p1, ef_h)[keep] - efb * df1).max()
         lee2 = np.abs(_d1(p2, efb, axis=1) - efb * df2).max()
-        trace_jv = np.abs(2.0 - np.exp(-fb) * R_h[keep]).max()
 
         lap_f = _laplacian_rows(p1, f_h, rows)[keep] + laplacian_1d(p2, fb, axis=1)
         grad2 = p1.theta[i0:i1, None] * df1**2 + th2 * df2**2
@@ -469,14 +446,12 @@ def p4d_forward(s: ProductSurface) -> tuple[float, Report]:
         gamma1 = 0.5 * efb - k1[i0:i1, None]
         gamma2 = 0.5 * efb - k2[None, :]
         norm_id = np.exp(-2 * fb) * (4 * a * a + 2 * gamma1**2 + 2 * gamma2**2)
-        np.maximum(worst, (lee1, lee2, trace_jv, anomaly, np.abs(norm_id - 1.0).max()), out=worst)
+        np.maximum(worst, (lee1, lee2, anomaly, np.abs(norm_id - 1.0).max()), out=worst)
 
     rep = Report("forward_map")
     rep.record("transverse_lee_is_df", float(worst[:2].max()))
-    rep.record("principal_trace_V", 0.0, note="exact: alpha is primitive in the ansatz")
-    rep.record("principal_trace_JV", float(worst[2]))
-    rep.record("anomaly_cancellation", float(worst[3]))
-    rep.record("principal_norm_identity", float(worst[4]))
+    rep.record("anomaly_cancellation", float(worst[2]))
+    rep.record("principal_norm_identity", float(worst[3]))
 
     C = rep.max_residual() / max(p1.h, p2.h) ** 2
     rep.notes["C_estimate"] = repr(C)

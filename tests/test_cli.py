@@ -79,6 +79,8 @@ class TestPde:
         for name in ("surface.csv", "residual.csv", "diagnostics.json"):
             assert (out / name).exists()
         diag = json.loads(read(out / "diagnostics.json"))
+        assert list(diag) == ["residual_sup", "residual_l2", "topology", "forward_map",
+                              "forward_map_C_estimate"]
         assert diag["residual_sup"] == 0.0
         assert diag["topology"]["c1_squared"] == pytest.approx(0.0)
 

@@ -292,7 +292,7 @@ class TestExactKernels:
             for conn in (geo.lc, geo.bismut):
                 for T in tensors:
                     out = fg.covariant_derivative(T, conn)
-                    _assert_identical(out, _covariant_tensordot(conn.raised(), T))
+                    _assert_identical(out, _covariant_tensordot(conn.raised, T))
 
     def test_transverse_covariant_matches_tensordot_loop(self):
         for m in _exact_models():
@@ -300,7 +300,7 @@ class TestExactKernels:
                 continue
             r = reduction.reduce(m)
             for T in (r.restrict2(r.F_V), r.restrict2(r.F_JV), r.restrict3(r.H_T), r.R_T):
-                out = reduction._transverse_covariant(r.gamma_T, T)
+                out = K.connection_core(r.gamma_T, T)
                 _assert_identical(out, _covariant_tensordot(r.gamma_T, T))
 
     def test_horizontal_frame_matches_gram_schmidt(self):
@@ -330,8 +330,8 @@ class TestRaisedConnection:
             return einsum(*args, **kwargs)
 
         monkeypatch.setattr(np, "einsum", counting)
-        G = conn.raised()
-        assert conn.raised() is G
+        G = conn.raised
+        assert conn.raised is G
         fg.covariant_derivative(np.ones(6), conn)
         assert calls == ["abc,cm->abm"]
         ref = einsum("abc,cm->abm", conn.gamma, conn.metric.inv)
@@ -339,7 +339,7 @@ class TestRaisedConnection:
 
     def test_read_only(self):
         conn = fg.bismut_connection(catalog.build_model("su2xRxC"))
-        G = conn.raised()
+        G = conn.raised
         assert not G.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             G[0, 0, 0] = 1.0

@@ -73,7 +73,7 @@ def koszul_oracle(m):
 def curvature_oracle(conn, alg):
     """R(X,Y)Z = nab_X nab_Y Z - nab_Y nab_X Z - nab_[X,Y] Z, by explicit loops."""
     n = conn.dim
-    G = conn.raised()
+    G = conn.raised
 
     def nab(a, v):  # nabla_{e_a} of the constant-coefficient field v
         return np.einsum("bm,b->m", G[a], v)
