@@ -6,7 +6,8 @@ Lee vector field is unit length.  A deterministically perturbed copy of the
 first model serves as the negative control.
 
 Each model is built on first request and then shared: ``get_model`` and
-``load_catalog`` hand out the same objects, so cached geometry persists.
+``load_catalog`` hand out the same objects, so the geometry a model caches
+(``m.lc``, ``m.H``, ``m.rho_B``, ...) is computed once per process.
 Only the perturbed control draws random numbers, so asking for any other
 model leaves ``numpy.random`` unimported.
 """
@@ -100,7 +101,7 @@ MODEL_NAMES = tuple(_BUILDERS)
 
 
 def build_model(name: str) -> HermitianModel:
-    """A fresh model, with its own empty geometry cache."""
+    """A fresh model, none of whose cached geometry is computed yet."""
     if name not in _BUILDERS:
         raise KeyError(f"unknown model {name!r}; catalog: {', '.join(MODEL_NAMES)}")
     return _BUILDERS[name]()
@@ -121,7 +122,8 @@ def _shared(name: str) -> HermitianModel:
 def get_model(name: str) -> HermitianModel:
     """The shared model of that name, built on first request.
 
-    Every call returns the same object, so its cached geometry is reused.
+    Every call returns the same object, so its cached geometry (``m.lc``,
+    ``m.rho_B``, ...) is reused.
     """
     return _shared(name)
 

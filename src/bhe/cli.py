@@ -46,7 +46,6 @@ from .frame_geometry import (
     ValidationError,
     bhe_residual,
     covariant_derivative,
-    exterior_derivative,
     gauduchon_residual,
     is_pluriclosed,
     nijenhuis,
@@ -178,8 +177,6 @@ class RunConfig:
     max_iterations: int = 50
 
     def __post_init__(self):
-        if self.command not in ("verify", "reduce", "pde-solve", "pde-residual", "converge"):
-            raise ValidationError(f"unrecognized command {self.command!r}")
         if self.command in ("verify", "reduce") and self.model not in catalog.MODEL_NAMES:
             raise ValidationError(
                 f"unknown model {self.model!r}; catalog: {', '.join(catalog.MODEL_NAMES)}"
@@ -244,22 +241,20 @@ def model_report(m: HermitianModel) -> Report:
     rep = Report(m.name)
     rep.record("jacobi_identity", m.algebra.jacobi_residual())
     rep.record("complex_structure_integrable", float(np.abs(nijenhuis(m.algebra, m.J)).max()))
-    geo = m.geometry
-    t1, t2 = geo.lee_pair
+    t1, t2 = m.lee_pair
     rep.record("lee_form_agreement", (t1 - t2).sup_norm())
     rep.record("bismut_ricci_flat", bhe_residual(m))
-    H = geo.H
-    dH = exterior_derivative(H, m.algebra)
-    rep.record("pluriclosed", dH.sup_norm())
-    gb = geo.bismut
+    H = m.H
+    rep.record("pluriclosed", m.dH.sup_norm())
+    gb = m.bismut
     rep.record("bismut_parallel_torsion", float(np.abs(covariant_derivative(H.components, gb)).max()))
-    V = m.sharp(t1)
+    V = m.V
     eta = m.metric.g @ V
     jeta = m.metric.g @ (m.J @ V)
     rep.record("bismut_parallel_V", float(np.abs(covariant_derivative(eta, gb)).max()))
     rep.record("bismut_parallel_JV", float(np.abs(covariant_derivative(jeta, gb)).max()))
     rep.record("gauduchon", gauduchon_residual(m))
-    pluriclosed = is_pluriclosed(H, dH)
+    pluriclosed = is_pluriclosed(H, m.dH)
     if pluriclosed:
         rep.merge(verify_lrho(m))
     else:

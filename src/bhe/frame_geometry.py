@@ -20,7 +20,6 @@ Sign conventions:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +41,20 @@ from .report import Report
 
 class KahlerInputError(ValueError):
     """Operation undefined on Kahler input (the Lee vector field vanishes)."""
+
+
+def _read_only(obj):
+    """Mark every array held by a cached object read-only; returns obj."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _read_only(item)
+    else:
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +144,60 @@ class HermitianModel:
     def dim(self) -> int:
         return self.algebra.dim
 
-    @cached_property
-    def geometry(self) -> "Geometry":
-        """This model's shared geometry; each object in it is computed once."""
-        return Geometry(self)
+    # The derived objects below are computed on first use, each by one call
+    # of its module-level function, and then shared by every check on this
+    # model.  Their arrays are read-only, so a mutation fails instead of
+    # leaking into later checks.
 
-    def kahler_form(self) -> FormTensor:
+    @cached_property
+    def omega(self) -> FormTensor:
         """omega(X, Y) = g(JX, Y)."""
-        return FormTensor(2, self.dim, self.J.T @ self.metric.g)
+        return _read_only(FormTensor(2, self.dim, self.J.T @ self.metric.g))
+
+    @cached_property
+    def domega(self) -> FormTensor:
+        return _read_only(exterior_derivative(self.omega, self.algebra))
+
+    @cached_property
+    def H(self) -> FormTensor:
+        return _read_only(bismut_torsion(self))
+
+    @cached_property
+    def dH(self) -> FormTensor:
+        return _read_only(exterior_derivative(self.H, self.algebra))
+
+    @cached_property
+    def lc(self) -> ConnectionCoeffs:
+        return _read_only(levi_civita(self))
+
+    @cached_property
+    def bismut(self) -> ConnectionCoeffs:
+        return _read_only(bismut_connection(self))
+
+    @cached_property
+    def lc_curvature(self) -> CurvatureTensor:
+        return _read_only(curvature(self.lc, self.algebra))
+
+    @cached_property
+    def bismut_curvature(self) -> CurvatureTensor:
+        return _read_only(curvature(self.bismut, self.algebra))
+
+    @cached_property
+    def rho_B(self) -> FormTensor:
+        return _read_only(bismut_ricci_form(self))
+
+    @cached_property
+    def lee_pair(self) -> tuple[FormTensor, FormTensor]:
+        return _read_only(lee_form_both(self))
+
+    @cached_property
+    def theta(self) -> FormTensor:
+        """The Lee form; raises if its two formulas disagree (see lee_form)."""
+        return _read_only(lee_form(self))
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return _read_only(lee_vector(self))
 
     def sharp(self, beta: FormTensor | np.ndarray) -> np.ndarray:
         comp = beta.components if isinstance(beta, FormTensor) else np.asarray(beta)
@@ -252,12 +311,11 @@ def levi_civita(m: HermitianModel) -> ConnectionCoeffs:
 
 def bismut_torsion(m: HermitianModel) -> FormTensor:
     """H = d omega pulled back through (J, J, J); vanishes exactly on Kahler input."""
-    return j_conjugate(m.geometry.domega, m.J)
+    return j_conjugate(m.domega, m.J)
 
 
 def bismut_connection(m: HermitianModel) -> ConnectionCoeffs:
-    geo = m.geometry
-    return ConnectionCoeffs(geo.lc.gamma + 0.5 * geo.H.components, m.metric, "bismut")
+    return ConnectionCoeffs(m.lc.gamma + 0.5 * m.H.components, m.metric, "bismut")
 
 
 def curvature(conn: ConnectionCoeffs, algebra: StructureAlgebra) -> CurvatureTensor:
@@ -276,13 +334,13 @@ def ricci_tensor(curv: CurvatureTensor, g: MetricFrame) -> np.ndarray:
 
 def bismut_ricci_form(m: HermitianModel) -> FormTensor:
     """rho_B(X,Y) = (1/2) <R^B(X,Y) J eps_i, eps_i> over an orthonormal frame."""
-    RB = m.geometry.bismut_curvature
+    RB = m.bismut_curvature
     comp = 0.5 * np.einsum("abcd,cm,md->ab", RB.R, m.J, m.metric.inv)
     return FormTensor._of(2, m.dim, comp)
 
 
 def bhe_residual(m: HermitianModel) -> float:
-    return bismut_ricci_form(m).sup_norm()
+    return m.rho_B.sup_norm()
 
 
 BHE_TOL = 1e-10  # a model with bhe_residual(m) <= BHE_TOL counts as BHE
@@ -300,16 +358,15 @@ def is_pluriclosed(H: FormTensor, dH: FormTensor) -> bool:
 
 def lee_form_both(m: HermitianModel) -> tuple[FormTensor, FormTensor]:
     """The Lee form by trace of d omega and by -d* omega o J, independently."""
-    geo = m.geometry
-    theta_tr = 0.5 * omega_trace(geo.domega, geo.omega, m.metric)
-    dstar = codifferential(geo.omega, geo.lc)
+    theta_tr = 0.5 * omega_trace(m.domega, m.omega, m.metric)
+    dstar = codifferential(m.omega, m.lc)
     theta_cod = FormTensor._of(1, m.dim, -np.einsum("c,ca->a", dstar.components, m.J))
     return theta_tr, theta_cod
 
 
 def lee_form(m: HermitianModel) -> FormTensor:
     """Lee form; errors if the two defining formulas disagree."""
-    theta_tr, theta_cod = m.geometry.lee_pair
+    theta_tr, theta_cod = m.lee_pair
     gap = (theta_tr - theta_cod).sup_norm()
     if gap > 1e-12 * max(1.0, theta_tr.sup_norm()):
         raise ValidationError(f"Lee form formulas disagree (gap {gap:.3e})")
@@ -318,13 +375,12 @@ def lee_form(m: HermitianModel) -> FormTensor:
 
 def lee_vector(m: HermitianModel) -> np.ndarray:
     """V = theta#  - grad f; f is constant on invariant frames, so V = theta#."""
-    return m.sharp(lee_form(m))
+    return m.sharp(m.theta)
 
 
 def gauduchon_residual(m: HermitianModel) -> float:
     """|d* theta|; zero exactly when the model is Gauduchon."""
-    theta = lee_form(m)
-    dstar = codifferential(theta, m.geometry.lc)
+    dstar = codifferential(m.theta, m.lc)
     return float(abs(dstar.components))
 
 
@@ -340,19 +396,16 @@ def verify_lrho(m: HermitianModel) -> Report:
     part against -d*H/2 + d theta/2 - i_theta# H / 2, every ingredient
     computed from an independent code path.
     """
-    geo = m.geometry
-    H = geo.H
-    dH = exterior_derivative(H, m.algebra)
-    if not is_pluriclosed(H, dH):
+    H = m.H
+    if not is_pluriclosed(H, m.dH):
         raise ValidationError(
-            f"model is not pluriclosed (|dH| = {dH.sup_norm():.3e}); identity undefined"
+            f"model is not pluriclosed (|dH| = {m.dH.sup_norm():.3e}); identity undefined"
         )
-    theta = lee_form(m)
-    theta_sharp = geo.V
-    lc = geo.lc
-    Rc = ricci_tensor(geo.lc_curvature, m.metric)
-    rho = bismut_ricci_form(m)
-    rho11, rho20 = type_decompose(rho, m.J)
+    theta = m.theta
+    theta_sharp = m.V
+    lc = m.lc
+    Rc = ricci_tensor(m.lc_curvature, m.metric)
+    rho11, rho20 = type_decompose(m.rho_B, m.J)
 
     lhs_sym = np.einsum("am,mb->ab", rho11.components, m.J)
     rhs_sym = Rc - 0.25 * h2_tensor(H, m.metric) + 0.5 * lie_derivative_metric(theta_sharp, m)
@@ -367,85 +420,6 @@ def verify_lrho(m: HermitianModel) -> Report:
     rep.record("ricci_form_symmetric_part", np.abs(lhs_sym - rhs_sym).max())
     rep.record("ricci_form_skew_part", np.abs(lhs_skew - rhs_skew).max())
     return rep
-
-
-# ---------------------------------------------------------------------------
-# the shared per-model geometry
-# ---------------------------------------------------------------------------
-
-
-def _read_only(obj):
-    """Mark every array held by a cached object read-only; returns obj."""
-    if isinstance(obj, np.ndarray):
-        obj.flags.writeable = False
-    elif isinstance(obj, tuple):
-        for item in obj:
-            _read_only(item)
-    else:
-        for value in vars(obj).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-    return obj
-
-
-class Geometry:
-    """The geometric objects of one model, each computed on first use.
-
-    Reached as ``m.geometry``, so every check on a model shares one
-    Levi-Civita connection, one torsion, one curvature per connection and so
-    on.  Each member calls its module-level function once; the cached
-    arrays are read-only, so a mutation fails instead of leaking into later
-    checks.
-    """
-
-    def __init__(self, model: HermitianModel):
-        # The model owns its geometry.  A weak reference back keeps the pair
-        # out of a reference cycle, so both are freed with the model instead
-        # of waiting for the cycle collector.
-        self._model = weakref.ref(model)
-
-    @property
-    def model(self) -> HermitianModel:
-        m = self._model()
-        if m is None:
-            raise ReferenceError("the model of this Geometry no longer exists")
-        return m
-
-    @cached_property
-    def omega(self) -> FormTensor:
-        return _read_only(self.model.kahler_form())
-
-    @cached_property
-    def domega(self) -> FormTensor:
-        return _read_only(exterior_derivative(self.omega, self.model.algebra))
-
-    @cached_property
-    def H(self) -> FormTensor:
-        return _read_only(bismut_torsion(self.model))
-
-    @cached_property
-    def lc(self) -> ConnectionCoeffs:
-        return _read_only(levi_civita(self.model))
-
-    @cached_property
-    def bismut(self) -> ConnectionCoeffs:
-        return _read_only(bismut_connection(self.model))
-
-    @cached_property
-    def lc_curvature(self) -> CurvatureTensor:
-        return _read_only(curvature(self.lc, self.model.algebra))
-
-    @cached_property
-    def bismut_curvature(self) -> CurvatureTensor:
-        return _read_only(curvature(self.bismut, self.model.algebra))
-
-    @cached_property
-    def lee_pair(self) -> tuple[FormTensor, FormTensor]:
-        return _read_only(lee_form_both(self.model))
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        return _read_only(lee_vector(self.model))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +452,6 @@ __all__ = [
     "KahlerInputError",
     "StructureAlgebra",
     "HermitianModel",
-    "Geometry",
     "ConnectionCoeffs",
     "CurvatureTensor",
     "nijenhuis",

@@ -17,12 +17,15 @@ correction in our curvature sign convention (it has all curvature
 symmetries, satisfies the first Bianchi identity, and reduces to
 K_base = K_total + (3/4)|v[X,Y]|^2 on sections).
 
-The suites share the parent's cached geometry (``r.parent.geometry``): the
-Levi-Civita and Bismut connections, their curvatures and the torsion are
-computed once per model, and the transverse curvature and connection once
-per reduction (``r.R_T``, ``r.gamma_T``).  Restrictions of parent tensors
-to the adapted frame (horizontal frame and vertical fields) are each one
-call of ``forms.pullback``, which contracts one slot per matrix product.
+Each derived object is computed once and shared by every suite.  The parent
+model caches its own geometry (``r.parent.lc``, ``r.parent.H``,
+``r.parent.bismut_curvature``, ...), and the reduction caches the horizontal
+components of F_V, F_JV, H^T and omega_T (``r.fv``, ``r.fjv``, ``r.ht``,
+``r.omega_h``), the derivatives ``r.d_omega_T`` and ``r.dF``, and the
+transverse curvature and connection (``r.R_T``, ``r.gamma_T``).  Each
+restriction of a parent tensor to the adapted frame (horizontal frame and
+vertical fields) is one call of ``forms.pullback``, which contracts one slot
+per matrix product.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .frame_geometry import (
     bhe_residual,
     covariant_derivative,
     exterior_derivative,
-    lee_form,
     scale_metric,
 )
 from .report import Report
@@ -90,24 +92,48 @@ class ReductionData:
     def hdim(self) -> int:
         return self.horizontal.shape[1]
 
+    # Derived data, each computed once on first use and read-only.  The
+    # horizontal components are in the orthonormal frame `horizontal`.
+
+    @cached_property
+    def fv(self) -> np.ndarray:
+        E = self.horizontal
+        return _read_only(pullback(self.F_V.components, E, E))
+
+    @cached_property
+    def fjv(self) -> np.ndarray:
+        E = self.horizontal
+        return _read_only(pullback(self.F_JV.components, E, E))
+
+    @cached_property
+    def ht(self) -> np.ndarray:
+        E = self.horizontal
+        return _read_only(pullback(self.H_T.components, E, E, E))
+
+    @cached_property
+    def omega_h(self) -> np.ndarray:
+        E = self.horizontal
+        return _read_only(pullback(self.omega_T.components, E, E))
+
+    @cached_property
+    def d_omega_T(self) -> FormTensor:
+        return _read_only(exterior_derivative(self.omega_T, self.parent.algebra))
+
+    @cached_property
+    def dF(self) -> tuple[FormTensor, FormTensor]:
+        """(d F_V, d F_JV) on the parent frame."""
+        alg = self.parent.algebra
+        return _read_only((exterior_derivative(self.F_V, alg), exterior_derivative(self.F_JV, alg)))
+
     @cached_property
     def R_T(self) -> np.ndarray:
-        """Transverse curvature, computed once (see transverse_curvature)."""
+        """Transverse curvature (see transverse_curvature)."""
         return _read_only(transverse_curvature(self))
 
     @cached_property
     def gamma_T(self) -> np.ndarray:
-        """Transverse connection, computed once (see transverse_connection)."""
+        """Transverse connection (see transverse_connection)."""
         return _read_only(transverse_connection(self))
-
-    def restrict2(self, b: FormTensor) -> np.ndarray:
-        """Components of a parent 2-form in the horizontal orthonormal frame."""
-        E = self.horizontal
-        return pullback(b.components, E, E)
-
-    def restrict3(self, b: FormTensor) -> np.ndarray:
-        E = self.horizontal
-        return pullback(b.components, E, E, E)
 
     def to_dict(self) -> dict:
         def form_entries(b: FormTensor) -> list:
@@ -173,30 +199,32 @@ def reduce(m: HermitianModel) -> ReductionData:
     res = bhe_residual(m)
     if res > BHE_TOL:
         raise ValidationError(f"model is not BHE (|rho_B| = {res:.3e} > {BHE_TOL:.1e})")
-    V0 = m.geometry.V
+    V0 = m.V
     nrm2 = float(V0 @ m.metric.g @ V0)
     if nrm2 < 1e-12:
         raise KahlerInputError("V vanishes: the model is Kahler Calabi-Yau")
     if abs(nrm2 - 1.0) > 1e-13:
         m = scale_metric(m, nrm2)
     g = m.metric.g
-    geo = m.geometry
-    V = geo.V  # f constant on invariant frames, so V = theta#
+    V = m.V  # f constant on invariant frames, so V = theta#
     JV = m.J @ V
     eta = FormTensor._of(1, m.dim, g @ V)
     Jeta = FormTensor._of(1, m.dim, g @ JV)
 
     F_V = exterior_derivative(eta, m.algebra)
     F_JV = exterior_derivative(Jeta, m.algebra)
-    omega = geo.omega
     omega_V = wedge(eta, Jeta)
-    omega_T = omega - omega_V
+    omega_T = m.omega - omega_V
 
-    H = geo.H
     P = np.eye(m.dim) - np.outer(V, eta.components) - np.outer(JV, Jeta.components)
-    H_T = j_conjugate(H, P)  # pullback through the horizontal projector
+    H_T = j_conjugate(m.H, P)  # pullback through the horizontal projector
     g_T = g - np.outer(eta.components, eta.components) - np.outer(
         Jeta.components, Jeta.components
+    )
+    r = ReductionData(
+        parent=m, V=V, JV=JV, eta=eta, Jeta=Jeta, F_V=F_V, F_JV=F_JV,
+        omega_T=omega_T, omega_V=omega_V, H_T=H_T, g_T=g_T, f=m.f,
+        horizontal=_horizontal_frame(m, V, JV),
     )
 
     # structural invariants of the reduction
@@ -207,21 +235,16 @@ def reduce(m: HermitianModel) -> ReductionData:
         "eta_V": abs(float(eta.components @ V) - 1.0),
         "eta_JV": abs(float(eta.components @ JV)),
     }
-    for name, F in (("F_V", F_V), ("F_JV", F_JV)):
+    for name, F, dF in (("F_V", F_V, r.dF[0]), ("F_JV", F_JV, r.dF[1])):
         checks[f"{name}_horizontal"] = max(
             interior_product(V, F).sup_norm(), interior_product(JV, F).sup_norm()
         )
         checks[f"{name}_type11"] = type_decompose(F, m.J)[1].sup_norm()
-        checks[f"{name}_closed"] = exterior_derivative(F, m.algebra).sup_norm()
+        checks[f"{name}_closed"] = dF.sup_norm()
     bad = {k: v for k, v in checks.items() if not v <= 1e-12}
     if bad:
         raise ValidationError(f"reduction invariants violated: {bad}")
-
-    E = _horizontal_frame(m, V, JV)
-    return ReductionData(
-        parent=m, V=V, JV=JV, eta=eta, Jeta=Jeta, F_V=F_V, F_JV=F_JV,
-        omega_T=omega_T, omega_V=omega_V, H_T=H_T, g_T=g_T, f=m.f, horizontal=E,
-    )
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +255,7 @@ def reduce(m: HermitianModel) -> ReductionData:
 def torsion_split_residual(r: ReductionData) -> Report:
     """H = H^T + (J F_V) ^ eta + (J F_JV) ^ Jeta, checked componentwise."""
     m = r.parent
-    H = m.geometry.H
+    H = m.H
     JF_V = j_conjugate(r.F_V, m.J)
     JF_JV = j_conjugate(r.F_JV, m.J)
     recon = r.H_T + wedge(JF_V, r.eta) + wedge(JF_JV, r.Jeta)
@@ -241,50 +264,35 @@ def torsion_split_residual(r: ReductionData) -> Report:
     return rep
 
 
-def _transverse_trace(r: ReductionData, b: FormTensor) -> float:
-    """Full double-sum trace of b against omega_T over the horizontal frame."""
-    om = r.restrict2(r.omega_T)
-    return float((om * r.restrict2(b)).sum())
-
-
-def transverse_lee_form(r: ReductionData) -> np.ndarray:
-    """Lee form of the transverse Hermitian structure, horizontal components."""
-    m = r.parent
-    d_omega_T = exterior_derivative(r.omega_T, m.algebra)
-    omega_up = r.restrict2(r.omega_T)
-    d_h = r.restrict3(d_omega_T)
-    return 0.5 * omega_up.ravel() @ d_h.reshape(omega_up.size, -1)
-
-
 def p3_residuals(r: ReductionData) -> Report:
-    """Conformally-balanced, Hermitian-Yang-Mills trace, and anomaly checks."""
+    """Conformally-balanced, Hermitian-Yang-Mills trace, and anomaly checks.
+
+    The transverse Lee form and the principal traces are full double sums
+    against omega_T over the horizontal frame.
+    """
     m = r.parent
     rep = Report("reduction_structure")
-    rep.record("transverse_lee_is_df", np.abs(transverse_lee_form(r)).max())
-    rep.record("principal_trace_V", _transverse_trace(r, r.F_V))
-    tr_jv = _transverse_trace(r, r.F_JV)
+    E, om = r.horizontal, r.omega_h
+    d_h = pullback(r.d_omega_T.components, E, E, E)
+    lee_T = 0.5 * om.ravel() @ d_h.reshape(om.size, -1)
+    rep.record("transverse_lee_is_df", np.abs(lee_T).max())
+    rep.record("principal_trace_V", float((om * r.fv).sum()))
+    tr_jv = float((om * r.fjv).sum())
     rep.record("principal_trace_JV", tr_jv + 2.0, note=f"tr = {tr_jv!r}")
-    d_omega_T = exterior_derivative(r.omega_T, m.algebra)
-    dc_omega_T = -1.0 * j_conjugate(d_omega_T, m.J)
+    dc_omega_T = -1.0 * j_conjugate(r.d_omega_T, m.J)
     ddc = exterior_derivative(dc_omega_T, m.algebra)
     anomaly = ddc - wedge(r.F_V, r.F_V) - wedge(r.F_JV, r.F_JV)
     rep.record("anomaly_cancellation", anomaly.sup_norm())
     return rep
 
 
-def _vertical_bracket_products(r: ReductionData) -> np.ndarray:
-    """Q[i,j,k,l] = <v[E_i,E_j], v[E_k,E_l]> from the principal curvatures."""
-    fv = r.restrict2(r.F_V)
-    fjv = r.restrict2(r.F_JV)
-    return np.einsum("ij,kl->ijkl", fv, fv) + np.einsum("ij,kl->ijkl", fjv, fjv)
-
-
 def transverse_curvature(r: ReductionData) -> np.ndarray:
     """R^T in the horizontal orthonormal frame via the submersion correction."""
-    RM = r.parent.geometry.lc_curvature.R
     E = r.horizontal
-    RMh = pullback(RM, E, E, E, E)
-    Q = _vertical_bracket_products(r)
+    RMh = pullback(r.parent.lc_curvature.R, E, E, E, E)
+    # Q[i,j,k,l] = <v[E_i,E_j], v[E_k,E_l]> from the principal curvatures
+    fv, fjv = r.fv, r.fjv
+    Q = np.einsum("ij,kl->ijkl", fv, fv) + np.einsum("ij,kl->ijkl", fjv, fjv)
     return (
         RMh
         - 0.5 * Q
@@ -296,14 +304,12 @@ def transverse_curvature(r: ReductionData) -> np.ndarray:
 def transverse_connection(r: ReductionData) -> np.ndarray:
     """Levi-Civita coefficients of g^T in the horizontal orthonormal frame."""
     E = r.horizontal
-    return pullback(r.parent.geometry.lc.gamma, E, E, E)
+    return pullback(r.parent.lc.gamma, E, E, E)
 
 
 def dilaton_scalar(r: ReductionData) -> float:
     """(1/6)|H^T|^2 + (1/2)|F|^2 + Lap f - |grad f|^2 (f constant here)."""
-    ht = r.restrict3(r.H_T)
-    fv = r.restrict2(r.F_V)
-    fjv = r.restrict2(r.F_JV)
+    ht, fv, fjv = r.ht, r.fv, r.fjv
     return float((ht * ht).sum() / 6.0 + 0.5 * ((fv * fv).sum() + (fjv * fjv).sum()))
 
 
@@ -314,13 +320,9 @@ def einstein_maxwell_residual(r: ReductionData) -> Report:
     (1/6)|H|^2 = |V|^2 on a BHE model, and `reduce` rescales to |V| = 1.
     ``dilaton_constancy`` records the distance to 1.
     """
-    m = r.parent
     rep = Report("einstein_maxwell")
-    RT = r.R_T
-    RcT = np.einsum("ijki->jk", RT)
-    ht = r.restrict3(r.H_T)
-    fv = r.restrict2(r.F_V)
-    fjv = r.restrict2(r.F_JV)
+    RcT = np.einsum("ijki->jk", r.R_T)
+    ht, fv, fjv = r.ht, r.fv, r.fjv
     ht2 = np.einsum("ipq,jpq->ij", ht, ht)
     F2 = fv @ fv.T + fjv @ fjv.T  # <i_X F, i_Y F> summed over both curvatures
     rep.record(
@@ -328,8 +330,8 @@ def einstein_maxwell_residual(r: ReductionData) -> Report:
         np.abs(RcT - 0.25 * ht2 - F2).max(),
         note="eigenvalues of Rc^T: " + repr([round(x, 12) for x in np.linalg.eigvalsh(RcT)]),
     )
-    rep.record("principal_closed_V", exterior_derivative(r.F_V, m.algebra).sup_norm())
-    rep.record("principal_closed_JV", exterior_derivative(r.F_JV, m.algebra).sup_norm())
+    rep.record("principal_closed_V", r.dF[0].sup_norm())
+    rep.record("principal_closed_JV", r.dF[1].sup_norm())
 
     gammaT = r.gamma_T
     for label, F in (("V", fv), ("JV", fjv)):
@@ -355,12 +357,10 @@ def lemma_suite(r: ReductionData) -> Report:
         raise ValidationError("component identity suite requires a six-dimensional model")
     rep = Report("component_identities")
     E, V, JV = r.horizontal, r.V, r.JV
-    geo = m.geometry
-    lc, gb = geo.lc, geo.bismut
-    RM, RB = geo.lc_curvature.R, geo.bismut_curvature.R
-    H = geo.H
-    fv, fjv = r.restrict2(r.F_V), r.restrict2(r.F_JV)
-    ht = r.restrict3(r.H_T)
+    lc, gb = m.lc, m.bismut
+    RM, RB = m.lc_curvature.R, m.bismut_curvature.R
+    H = m.H
+    fv, fjv, ht = r.fv, r.fjv, r.ht
 
     # vertical Christoffel rows of the Bismut connection equal F components
     nab_eta_B = covariant_derivative(r.eta.components, gb)
@@ -397,8 +397,9 @@ def lemma_suite(r: ReductionData) -> Report:
     rep.record("curvature_vertical_pair_block", np.abs(lhs_vp - rhs_vp).max())
 
     # mixed block: R^B(V, X, Y, Z) = -(nabla^B_X F_V)(Y, Z)
-    for label, vert, F in (("V", V, r.F_V), ("JV", JV, r.F_JV)):
-        lhs = pullback(RB, vert, E, E, E)
+    RB_mixed = {"V": pullback(RB, V, E, E, E), "JV": pullback(RB, JV, E, E, E)}
+    for label, F in (("V", r.F_V), ("JV", r.F_JV)):
+        lhs = RB_mixed[label]
         nabF = covariant_derivative(F.components, gb)
         rhs = -pullback(nabF, E, E, E)
         rep.record(f"curvature_mixed_block_{label}", np.abs(lhs - rhs).max())
@@ -419,8 +420,7 @@ def lemma_suite(r: ReductionData) -> Report:
     # Riemann curvature against Bismut curvature
     for label, vert in (("V", V), ("JV", JV)):
         lhsR = pullback(RM, vert, E, E, E)
-        lhsB = pullback(RB, vert, E, E, E)
-        rep.record(f"riemann_vs_bismut_mixed_{label}", np.abs(lhsR - 0.5 * lhsB).max())
+        rep.record(f"riemann_vs_bismut_mixed_{label}", np.abs(lhsR - 0.5 * RB_mixed[label]).max())
     lhs_62 = pullback(RM, V, JV, E, E)
     rep.record("riemann_vs_bismut_vertical_pair", np.abs(lhs_62 - 0.25 * lhs_vp).max())
     lhs_63 = pullback(RM, V, E, E, JV)
@@ -430,8 +430,7 @@ def lemma_suite(r: ReductionData) -> Report:
 
     # constant principal-curvature norms and the unit norm identity
     a2 = float((fv * fv).sum())
-    omega_h = r.restrict2(r.omega_T)
-    gamma_h = fjv + 0.5 * omega_h
+    gamma_h = fjv + 0.5 * r.omega_h
     g2 = float((gamma_h * gamma_h).sum())
     rep.record(
         "principal_norm_identity",
@@ -473,8 +472,8 @@ def transverse_package(r: ReductionData) -> tuple[HermitianModel, FormTensor, Fo
         StructureAlgebra(cH), MetricFrame(np.eye(hd)), J4, f=r.f,
         name=f"{r.parent.name}-transverse",
     )
-    F_V4 = FormTensor(2, hd, r.restrict2(r.F_V))
-    F_JV4 = FormTensor(2, hd, r.restrict2(r.F_JV))
+    F_V4 = FormTensor(2, hd, r.fv)
+    F_JV4 = FormTensor(2, hd, r.fjv)
     return model, F_V4, F_JV4, r.f
 
 
@@ -537,7 +536,7 @@ def assemble(
 def curvature_operator_spectrum(m: HermitianModel) -> np.ndarray:
     """Sorted eigenvalues of the Riemann curvature operator on 2-forms."""
     E = m.orthonormal_frame()
-    Ron = pullback(m.geometry.lc_curvature.R, E, E, E, E)
+    Ron = pullback(m.lc_curvature.R, E, E, E, E)
     n = m.dim
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     M = np.empty((len(pairs), len(pairs)))
@@ -549,11 +548,9 @@ def curvature_operator_spectrum(m: HermitianModel) -> np.ndarray:
 
 def scalar_signature(m: HermitianModel) -> dict[str, float]:
     """Frame-independent scalars used when comparing assembled models."""
-    theta = lee_form(m)
-    H = m.geometry.H
     return {
-        "lee_norm2": norm2(theta, m.metric),
-        "torsion_norm2": norm2(H, m.metric),
+        "lee_norm2": norm2(m.theta, m.metric),
+        "torsion_norm2": norm2(m.H, m.metric),
         "bhe_residual": bhe_residual(m),
         "f": float(m.f),
     }

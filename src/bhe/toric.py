@@ -246,8 +246,8 @@ class ProductSurface:
             raise ValidationError(f"class datum a = {self.a!r} must be finite with (2 a^2)^2 finite")
         if self.a != 0.0 and abs(self.factor1.area - self.factor2.area) > 1e-12:
             raise ValidationError(
-                "class constraint Omega . A != 0: the anti-diagonal class needs equal "
-                f"factor areas (got {self.factor1.area:.6f}, {self.factor2.area:.6f})"
+                f"the class datum a = {self.a!r} != 0 needs equal factor areas "
+                f"(got {self.factor1.area:.6f}, {self.factor2.area:.6f})"
             )
         # topo_invariants scales the area product by 2 a^2; with a = 0 an
         # infinite area product would still give 0 * inf = nan
@@ -353,8 +353,8 @@ def _kappa_integral(p: SphereProfile) -> float:
 
 
 def _self_intersection(a: float, area1: float, area2: float) -> float:
-    """A.A of alpha = a (omega_1 - omega_2) on factors of the given areas."""
-    return (-2.0 * a * a) * area1 * area2 / (TWO_PI**2)
+    """A.A of alpha = a (omega_1 - omega_2) on factors of the given areas; +0.0 at a = 0."""
+    return (-2.0 * a * a) * area1 * area2 / (TWO_PI**2) + 0.0
 
 
 def topo_invariants(s: ProductSurface) -> dict:
@@ -370,8 +370,8 @@ def topo_invariants(s: ProductSurface) -> dict:
         "A_dot_A": a_dot_a,
         "c1_squared": c1_sq,
         "constraint_defect_selfintersection": abs(a_dot_a + c1_sq),
-        "gauss_bonnet_factor1": k1 if s.factor1.kind == "sphere" else 0.0,
-        "gauss_bonnet_factor2": k2 if s.factor2.kind == "sphere" else 0.0,
+        "gauss_bonnet_factor1": k1,
+        "gauss_bonnet_factor2": k2,
     }
 
 
@@ -508,7 +508,7 @@ def _poly_profile_fields(c: float, eps: float) -> tuple[np.polynomial.Polynomial
     return theta, kappa, flux_div
 
 
-def manufactured_truncation_error(c: float, eps: float, n: int, a: float = 0.0) -> float:
+def manufactured_truncation_error(c: float, eps: float, n: int) -> float:
     """Sup-norm discretization error of the residual on a quartic-bump surface.
 
     The bump keeps the pole conditions exact while making Theta quartic, so
@@ -518,8 +518,8 @@ def manufactured_truncation_error(c: float, eps: float, n: int, a: float = 0.0) 
     p1 = SphereProfile.quartic_bump(c, n, eps)
     z = p1.z
     _, kappa_pol, flux_pol = _poly_profile_fields(c, eps)
-    E_h, _ = _residual_grid(ProductSurface(p1, p1, a))
+    E_h, _ = _residual_grid(ProductSurface(p1, p1))
     kap = kappa_pol(z)
     A = 0.5 * flux_pol(z)  # L(kappa) = (1/2) d/dz (Theta dR_1/dz)
-    E_h -= _separable_residual(A, A, kap, kap, a)
+    E_h -= _separable_residual(A, A, kap, kap, 0.0)
     return float(np.abs(E_h, out=E_h).max())

@@ -89,7 +89,7 @@ class TestAcceptance:
             worst = 0.0
             for name in ("su2xsu2", "su2xRxC"):
                 r = reduction.reduce(catalog.get_model(name))
-                trace_jv = reduction._transverse_trace(r, r.F_JV)
+                trace_jv = float((r.omega_h * r.fjv).sum())
                 assert abs(trace_jv + 2.0) <= 1e-13, (name, trace_jv)
                 for rep in (
                     reduction.p3_residuals(r),

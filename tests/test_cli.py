@@ -108,9 +108,12 @@ class TestPde:
         assert main(["pde", "solve", "--config", cfg, "--out", str(out)]) == 1
         assert json.loads(read(out / "trace.json"))["flag"] == "stalled"
 
-    def test_unequal_areas_exit_2(self, tmp_path):
+    def test_unequal_areas_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, c2=1.0)
         assert main(["pde", "solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        # the gate is on the factor areas; Omega.A vanishes for every surface
+        err = capsys.readouterr().err
+        assert err.startswith("bhe: invalid input: the class datum a = 0.5 != 0 needs equal factor areas")
 
     def test_small_grid_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, n=8)

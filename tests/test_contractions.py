@@ -145,9 +145,9 @@ BAD_INPUT = {
     "HermitianModel-entry": lambda m, x: fg.HermitianModel(
         m.algebra, m.metric, _put(m.J, (0, 1), x)),
     "ConnectionCoeffs": lambda m, x: fg.ConnectionCoeffs(
-        _put(m.geometry.lc.gamma, (0, 1, 2), x), m.metric, "levi_civita"),
+        _put(m.lc.gamma, (0, 1, 2), x), m.metric, "levi_civita"),
     "CurvatureTensor": lambda m, x: fg.CurvatureTensor(
-        _put(m.geometry.lc_curvature.R, (0, 1, 2, 3), x)),
+        _put(m.lc_curvature.R, (0, 1, 2, 3), x)),
 }
 
 
@@ -261,8 +261,7 @@ class TestExactKernels:
         rng = np.random.default_rng(100 + k)
         cases = []
         for m in _exact_models():
-            geo = m.geometry
-            forms = {1: [geo.V], 2: [geo.omega.components], 3: [geo.H.components]}
+            forms = {1: [m.V], 2: [m.omega.components], 3: [m.H.components]}
             cases += [(m.algebra.c, b) for b in forms.get(k, [np.zeros(())])]
             cases.append((m.algebra.c, _random_form(k, m.dim, rng).components))
         c = rng.standard_normal((6, 6, 6))
@@ -286,10 +285,9 @@ class TestExactKernels:
     def test_covariant_derivative_matches_tensordot_loop(self):
         rng = np.random.default_rng(110)
         for m in _exact_models():
-            geo = m.geometry
-            tensors = [geo.V, geo.omega.components, geo.H.components,
-                       geo.lc_curvature.R, _random_form(2, m.dim, rng).components]
-            for conn in (geo.lc, geo.bismut):
+            tensors = [m.V, m.omega.components, m.H.components,
+                       m.lc_curvature.R, _random_form(2, m.dim, rng).components]
+            for conn in (m.lc, m.bismut):
                 for T in tensors:
                     out = fg.covariant_derivative(T, conn)
                     _assert_identical(out, _covariant_tensordot(conn.raised, T))
@@ -299,7 +297,7 @@ class TestExactKernels:
             if m.dim != 6:
                 continue
             r = reduction.reduce(m)
-            for T in (r.restrict2(r.F_V), r.restrict2(r.F_JV), r.restrict3(r.H_T), r.R_T):
+            for T in (r.fv, r.fjv, r.ht, r.R_T):
                 out = K.connection_core(r.gamma_T, T)
                 _assert_identical(out, _covariant_tensordot(r.gamma_T, T))
 

@@ -197,7 +197,7 @@ class TestConnections:
         mf = random_compatible_metric(base.J, rng)
         m = HermitianModel(base.algebra, mf, base.J)
         gb = bismut_connection(m)
-        nab = covariant_derivative(m.kahler_form().components, gb)
+        nab = covariant_derivative(m.omega.components, gb)
         assert np.max(np.abs(nab)) < 1e-12
         nab_g = covariant_derivative(m.metric.g, gb)  # metric is parallel too
         assert np.max(np.abs(nab_g)) < 1e-12

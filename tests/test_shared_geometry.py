@@ -1,4 +1,4 @@
-"""One cached geometry per model, pinned report residuals, slot-wise pullback."""
+"""Geometry cached once per model and reduction, pinned report residuals, slot-wise pullback."""
 
 import gc
 import json
@@ -49,10 +49,14 @@ class TestGeometryCache:
     def test_each_object_computed_once_per_model(self, monkeypatch):
         m = _variant("su2xsu2", 3)
         counts, keep = Counter(), []
-        _counting(monkeypatch, fg, "levi_civita", lambda mm: (id(mm),), counts, keep)
-        _counting(monkeypatch, fg, "bismut_torsion", lambda mm: (id(mm),), counts, keep)
+        for name in ("levi_civita", "bismut_torsion", "bismut_ricci_form", "lee_form"):
+            _counting(monkeypatch, fg, name, lambda mm: (id(mm),), counts, keep)
         _counting(monkeypatch, fg, "curvature",
                   lambda conn, alg: (id(conn.metric), conn.flavor), counts, keep)
+        # reduction binds exterior_derivative under its own name
+        for module in (fg, reduction):
+            _counting(monkeypatch, module, "exterior_derivative",
+                      lambda b, alg: (id(b),), counts, keep)
         _counting(monkeypatch, reduction, "transverse_curvature", lambda r: (id(r),), counts, keep)
         _counting(monkeypatch, reduction, "transverse_connection", lambda r: (id(r),), counts, keep)
         rep = model_report(m)
@@ -62,9 +66,15 @@ class TestGeometryCache:
         # the variant and its unit-|V| rescaling
         assert per_function["levi_civita"] == 2
         assert per_function["bismut_torsion"] == 2
-        # both models need their Bismut curvature (bhe_residual) and their
-        # Riemann curvature: the variant for verify_lrho, its rescaling for
-        # the transverse curvature
+        assert per_function["lee_form"] == 2
+        # only the variant is tested for Bismut-Ricci-flatness
+        assert per_function["bismut_ricci_form"] == 1
+        # d of omega on both models, of H and theta on the variant, and of
+        # eta, Jeta, F_V, F_JV, omega_T and d^c omega_T in the reduction
+        assert per_function["exterior_derivative"] == 10
+        # both models need their Bismut curvature (bhe_residual, lemma_suite)
+        # and their Riemann curvature: the variant for verify_lrho, its
+        # rescaling for the transverse curvature
         flavors = Counter(k[2] for k in counts if k[0] == "curvature")
         assert flavors == {"levi_civita": 2, "bismut": 2}
         # the reduction suites share one transverse curvature and connection
@@ -73,17 +83,15 @@ class TestGeometryCache:
 
     def test_geometry_is_per_model(self):
         m = catalog.build_model("su2xsu2")
-        assert m.geometry is m.geometry
-        assert m.geometry.model is m
+        assert m.lc is m.lc
         m2 = fg.scale_metric(m, 2.0)
-        assert m2.geometry is not m.geometry
-        assert np.array_equal(m2.geometry.lc.gamma, fg.levi_civita(m2).gamma)
+        assert m2.lc is not m.lc
+        assert np.array_equal(m2.lc.gamma, fg.levi_civita(m2).gamma)
 
     def test_model_is_freed_without_the_cycle_collector(self):
-        # the geometry refers back to its model weakly, so a model and its
-        # cache go as soon as the last reference to the model does
+        # the model holds its cache and nothing in the cache refers back to
+        # it, so both go as soon as the last reference to the model does
         m = _variant("su2xsu2", 4)
-        geo = m.geometry
         model_report(m)
         ref = weakref.ref(m)
         gc.disable()
@@ -92,18 +100,18 @@ class TestGeometryCache:
             assert ref() is None
         finally:
             gc.enable()
-        with pytest.raises(ReferenceError):
-            geo.model
 
     def test_cached_arrays_are_read_only(self):
         m = _variant("su2xsu2", 5)
-        geo = m.geometry
         r = reduction.reduce(m)
-        t1, t2 = geo.lee_pair
+        t1, t2 = m.lee_pair
+        dF_V, dF_JV = r.dF
         arrays = [
-            geo.omega.components, geo.domega.components, geo.H.components,
-            geo.lc.gamma, geo.bismut.gamma, geo.lc_curvature.R, geo.bismut_curvature.R,
-            t1.components, t2.components, geo.V, r.R_T, r.gamma_T,
+            m.omega.components, m.domega.components, m.H.components, m.dH.components,
+            m.lc.gamma, m.bismut.gamma, m.lc_curvature.R, m.bismut_curvature.R,
+            m.rho_B.components, t1.components, t2.components, m.theta.components, m.V,
+            r.fv, r.fjv, r.ht, r.omega_h, r.d_omega_T.components,
+            dF_V.components, dF_JV.components, r.R_T, r.gamma_T,
         ]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):

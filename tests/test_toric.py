@@ -1,5 +1,6 @@
 """Momentum-profile surfaces: curvature, Laplacian, residuals, topology."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -223,7 +224,7 @@ class TestHarmonicASD:
     """The class datum alpha = a (omega_1 - omega_2)."""
 
     def test_class_constraint_gate(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^the class datum a = 0.5 != 0 needs equal factor areas"):
             ProductSurface(SphereProfile.round(2.0, 32), SphereProfile.round(1.0, 32), 0.5)
 
     def test_self_intersection_number(self):
@@ -240,11 +241,18 @@ class TestTopology:
         assert topo["c1_squared"] == pytest.approx(8.0, abs=1e-10)
         assert topo["constraint_defect_selfintersection"] < 1e-10
 
-    def test_ruled_flat_product_data(self):
-        s = ProductSurface(SphereProfile.round(1.0, 64), SphereProfile.flat(1.0, 64), 0.0)
+    def test_ruled_flat_product_data(self, monkeypatch):
+        flat = SphereProfile.flat(1.0, 64)
+        s = ProductSurface(SphereProfile.round(1.0, 64), flat, 0.0)
         topo = toric.topo_invariants(s)
-        assert topo["A_dot_A"] == 0.0
+        # +0.0, so diagnostics.json prints no "-0" at a = 0
+        assert topo["A_dot_A"] == 0.0 and math.copysign(1.0, topo["A_dot_A"]) == 1.0
         assert topo["c1_squared"] == pytest.approx(0.0, abs=1e-12)
+        gb = topo["gauss_bonnet_factor2"]
+        assert gb == 0.0 and math.copysign(1.0, gb) == 1.0
+        # the flat factor's value is its curvature quadrature, not a literal
+        monkeypatch.setattr(toric, "_kappa_integral", lambda p: 0.25 if p is flat else 2.0)
+        assert toric.topo_invariants(s)["gauss_bonnet_factor2"] == 0.25
 
     def test_quarter_class_flagged(self):
         s = ProductSurface(SphereProfile.round(2.0, 64), SphereProfile.round(2.0, 64), 0.25)
