@@ -14,8 +14,8 @@ failure, 2 invalid input.
 ``residual.csv`` holds a header plus (n+1)^2 rows ``z1,z2,E`` in z1-major
 order (a flat-torus factor has n nodes, not n+1).  It is streamed in blocks
 of whole grid rows with at most ``toric.BLOCK_VALUES`` = 2**13 values,
-about 2.5 MB of extra memory at any n.  A block's floats are printed by a
-vectorized numpy kernel (``bhe._format``), exactly rounded and
+about 2.5 MB of extra memory at any n.  The floats of every CSV go through
+one vectorized numpy kernel (``bhe._format``), exactly rounded and
 byte-identical to ``"%.16e" % x``: it scales |x| by a power of ten in
 longdouble and reads off the 17 digits wherever a proven error bound
 decides the rounding.  The values it cannot decide fall back to Python's
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -124,34 +125,13 @@ def write_json(path: str, obj) -> None:
     write_atomic(path, (_to_json(obj) + "\n").encode("utf-8"))
 
 
-def format_row(row: tuple) -> str:
-    """One CSV line: floats as ``%.16e``, ``None`` as an empty cell, else ``str``."""
-    cells = []
-    for v in row:
-        if isinstance(v, (float, np.floating)):
-            cells.append(f"{float(v):.16e}")
-        elif v is None:
-            cells.append("")
-        else:
-            cells.append(str(v))
-    return ",".join(cells) + "\n"
+def write_csv(path: str, header: list[str], chunks) -> None:
+    """Write the ``header`` line, then the bytes ``chunks``, atomically.
 
-
-def write_csv(path: str, header: list[str], lines) -> None:
-    """Write the ``header`` line, then the chunks of ``lines``, atomically.
-
-    Each chunk holds whole lines that end in a newline: one ``format_row``
-    line (text, encoded here once), or a block of grid rows from
-    ``_residual_lines`` (ASCII bytes, written as they are).  Chunks are
-    streamed to the file as they come, never joined into one string.
+    Each chunk holds whole lines, as ``_csv_columns`` and ``_residual_lines``
+    print them; chunks are streamed to the file as they come, never joined.
     """
-
-    def chunks():
-        yield (",".join(header) + "\n").encode("utf-8")
-        for chunk in lines:
-            yield chunk.encode("utf-8") if isinstance(chunk, str) else chunk
-
-    write_atomic(path, chunks())
+    write_atomic(path, itertools.chain([(",".join(header) + "\n").encode()], chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +169,8 @@ class RunConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
                 raise ValidationError(f"{name} must be a finite number (got {v!r})")
+        if self.tolerance < 0:
+            raise ValidationError(f"tolerance must be non-negative (got {self.tolerance!r})")
         if self.perturb_mode not in ("odd", "even"):
             raise ValidationError(f"perturb_mode must be 'odd' or 'even' (got {self.perturb_mode!r})")
         if self.n < 16:
@@ -304,46 +286,52 @@ def run_reduce(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _surface_rows(s: toric.ProductSurface) -> list[tuple]:
-    k1, k2 = toric.ricci_form_coeffs(s)
-    z1, z2 = s.factor1.z, s.factor2.z
-    th1, th2 = s.factor1.theta, s.factor2.theta
-    rows = []
-    for j in range(max(len(z1), len(z2))):
-        rows.append(
-            (
-                float(z1[j]) if j < len(z1) else None,
-                float(th1[j]) if j < len(th1) else None,
-                float(th2[j]) if j < len(th2) else None,
-                float(k1[j]) if j < len(k1) else None,
-                float(k2[j]) if j < len(k2) else None,
-            )
-        )
-    return rows
+def _lines(*columns) -> bytearray:
+    """The text of ``columns`` of NUL-padded ``_format.CELL``s, broadcast side by side.
+
+    One ``translate`` deletes every NUL; the ``bytearray`` goes to the file as it is.
+    """
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    buf = bytearray(math.prod(shape) * len(columns) * _format.CELL.itemsize)
+    lines = np.frombuffer(buf, _format.CELL).reshape(*shape, len(columns))
+    for j, c in enumerate(columns):
+        lines[..., j] = c
+    return buf.translate(None, b"\0")
+
+
+def _csv_columns(*columns) -> bytearray:
+    """CSV lines of ``columns``: floats as ``%.16e`` cells, integers as ``%d``.
+
+    A column shorter than the longest ends in empty cells (a flat-torus
+    factor has n nodes, not n+1).
+    """
+    rows = max(map(len, columns))
+    text = "S%d" % _format.CELL.itemsize
+    cells = []
+    for j, col in enumerate(map(np.asarray, columns)):
+        end = "\n" if j == len(columns) - 1 else ","
+        c = np.full(rows, end.encode(), text).view(_format.CELL)
+        if col.dtype.kind in "iu":
+            c[: col.size] = np.array(["%d%s" % (v, end) for v in col.tolist()], text).view(_format.CELL)
+        else:
+            c[: col.size] = _format.e16_cells(col, end)
+        cells.append(c)
+    return _lines(*cells)
 
 
 def _residual_lines(field: toric.PdeResidualField):
-    """``z1,z2,E`` lines in z1-major order, one ASCII bytes chunk per block of grid rows.
+    """``z1,z2,E`` lines in z1-major order, one ``_lines`` chunk per block of grid rows.
 
     A block holds whole grid rows and at most ``toric.BLOCK_VALUES`` values,
-    or a single row if one row is longer.  Its
-    lines are laid out as a matrix of NUL-padded ``_format.e16_cells`` and
-    compacted by one ``translate``, so the bytes equal the encoded
-    ``format_row`` text of every (z1, z2, E) while the extra memory stays
-    one block.  The ``bytearray`` goes to the file as it is, never decoded.
+    or a single row if one row is longer, so the extra memory stays one
+    block at any n.
     """
     z1 = _format.e16_cells(field.z1, ",")
     z2 = _format.e16_cells(field.z2, ",")
-    n2 = field.E.shape[1]
-    rows = max(1, toric.BLOCK_VALUES // n2)
+    rows = max(1, toric.BLOCK_VALUES // len(z2))
     for i in range(0, len(z1), rows):
         E = field.E[i : i + rows]
-        buf = bytearray(3 * E.size * _format.CELL.itemsize)
-        lines = np.frombuffer(buf, _format.CELL).reshape(*E.shape, 3)
-        lines[:, :, 0] = z1[i : i + len(E), None]
-        lines[:, :, 1] = z2
-        lines[:, :, 2] = _format.e16_cells(E, "\n").reshape(E.shape)
-        yield buf.translate(None, b"\0")
+        yield _lines(z1[i : i + len(E), None], z2, _format.e16_cells(E, "\n").reshape(E.shape))
 
 
 def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> tuple[float, float]:
@@ -352,10 +340,11 @@ def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> tuple[f
     The residual grid E is dropped once residual.csv is written.
     """
     field = toric.pde_residual(s)
+    k1, k2 = toric.ricci_form_coeffs(s)
     write_csv(
         os.path.join(cfg.out, "surface.csv"),
         ["z", "Theta1", "Theta2", "kappa1", "kappa2"],
-        map(format_row, _surface_rows(s)),
+        [_csv_columns(s.factor1.z, s.factor1.theta, s.factor2.theta, k1, k2)],
     )
     write_csv(os.path.join(cfg.out, "residual.csv"), ["z1", "z2", "E"], _residual_lines(field))
     return field.sup, field.l2
@@ -420,7 +409,7 @@ def run_pde_solve(cfg: RunConfig) -> int:
     write_csv(
         os.path.join(cfg.out, "history.csv"),
         ["iteration", "residual", "step"],
-        map(format_row, trace.history_rows()),
+        [_csv_columns(np.arange(len(trace.residual_sup)), trace.residual_sup, [0.0, *trace.steps])],
     )
     return EXIT_PASS if trace.flag in ("converged", "at-floor") else EXIT_FAIL
 
@@ -467,13 +456,10 @@ def run_converge(cfg: RunConfig) -> int:
         "pass": ok,
     }
     write_json(os.path.join(cfg.out, "converge.json"), payload)
-    rows = [
-        (n, residuals[i], kappa_errs[i], manufactured[i]) for i, n in enumerate(grids)
-    ]
     write_csv(
         os.path.join(cfg.out, "orders.csv"),
         ["n", "residual_sup", "kappa_error", "manufactured_error"],
-        map(format_row, rows),
+        [_csv_columns(grids, residuals, kappa_errs, manufactured)],
     )
     return EXIT_PASS if ok else EXIT_FAIL
 

@@ -108,12 +108,6 @@ class SolveTrace:
             "steps": list(self.steps),
         }
 
-    def history_rows(self) -> list[tuple[int, float, float]]:
-        rows = [(0, self.residual_sup[0], 0.0)]
-        for i, (r, s) in enumerate(zip(self.residual_sup[1:], self.steps), start=1):
-            rows.append((i, r, s))
-        return rows
-
 
 # ---------------------------------------------------------------------------
 # profile parametrization with pole constraints eliminated

@@ -1,5 +1,6 @@
 """Command-line contract: artifacts, exit codes, determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from bhe import cli, solver, toric
-from bhe.cli import format_row, main, write_atomic, write_csv
+from bhe.cli import main, write_atomic, write_csv
 
 
 def read(path):
@@ -57,6 +58,16 @@ class TestVerify:
             assert main([command, "--model", "zzz", "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err == line
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_tolerance_exit_2(self, tmp_path, capsys):
+        line = "bhe: invalid input: tolerance must be non-negative (got -1.0)\n"
+        for command, model in (("verify", "su2xsu2"), ("reduce", "hopf")):
+            assert main([command, "--model", model, "--tol", "-1", "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == line
+        assert list(tmp_path.iterdir()) == []
+        # zero stays a valid tolerance
+        assert main(["reduce", "--model", "hopf", "--tol", "0", "--out", str(tmp_path)]) != 2
+        assert json.loads(read(tmp_path / "report.json"))["tolerance"] == 0.0
 
 
 class TestReduce:
@@ -304,15 +315,76 @@ def reference_csv(header, rows):
 
 class TestCsvWriter:
     def test_cells_match_reference(self, tmp_path):
-        rows = [
-            (float("nan"), float("inf"), float("-inf"), -0.0),
-            (5e-324, 1e300, np.float64(-1.0 / 3.0), np.float32(0.1)),
-            (0, 7, None, -12),
-            (None, None, np.float64("nan"), 2.5e-17),
+        # Homogeneous columns; the shorter ones end in empty cells.
+        columns = [
+            [float("nan"), 5e-324, np.float64("nan"), 2.5e-17],
+            [float("inf"), 1e300, -0.0],
+            [float("-inf"), np.float64(-1.0 / 3.0), np.float32(0.1)],
+            [0, 7, -12],
+            [],
         ]
+        rows = list(itertools.zip_longest(*columns))
         path = tmp_path / "cells.csv"
-        write_csv(str(path), ["a", "b", "c", "d"], map(format_row, rows))
-        assert read(path) == reference_csv(["a", "b", "c", "d"], rows)
+        write_csv(str(path), ["a", "b", "c", "d", "e"], [cli._csv_columns(*columns)])
+        assert read(path) == reference_csv(["a", "b", "c", "d", "e"], rows)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("sphere", "sphere"), ("sphere", "flat-torus"), ("flat-torus", "sphere")],
+        ids=lambda k: "-x-".join(k),
+    )
+    def test_surface_csv_matches_reference(self, tmp_path, kinds):
+        # A flat factor has n nodes, so its columns end in one empty cell.
+        n = 32
+        cfg = write_config(tmp_path, n=n, c1=1.0, c2=1.0, a=0.0, perturb_eps=0.01,
+                           kind1=kinds[0], kind2=kinds[1])
+        out = tmp_path / "res"
+        assert main(["pde", "residual", "--config", cfg, "--out", str(out)]) == 0
+        f1, f2 = (
+            toric.SphereProfile.round_perturbed(1.0, n, 0.01)
+            if kind == "sphere" else toric.SphereProfile.flat(1.0, n)
+            for kind in kinds
+        )
+        s = toric.ProductSurface(f1, f2, 0.0)
+        k1, k2 = toric.ricci_form_coeffs(s)
+        rows = [
+            tuple(None if v is None else float(v) for v in row)
+            for row in itertools.zip_longest(f1.z, f1.theta, f2.theta, k1, k2)
+        ]
+        assert len(rows) == n + 1
+        want = reference_csv(["z", "Theta1", "Theta2", "kappa1", "kappa2"], rows)
+        assert read(out / "surface.csv") == want
+
+    @pytest.mark.parametrize(
+        "body, flag, code",
+        [
+            ({"a": 0.5, "perturb_eps": 0.01}, "converged", 0),
+            ({"a": 0.25}, "stalled", 1),  # some of its steps are damped
+        ],
+        ids=["converged", "stalled"],
+    )
+    def test_history_csv_matches_reference(self, tmp_path, body, flag, code):
+        cfg = write_config(tmp_path, n=32, **body)
+        out = tmp_path / "solve"
+        assert main(["pde", "solve", "--config", cfg, "--out", str(out)]) == code
+        trace = json.loads(read(out / "trace.json"))
+        assert trace["flag"] == flag
+        steps = [0.0, *trace["steps"]]
+        assert (min(steps[1:]) < 1.0) == (flag == "stalled")
+        rows = list(zip(range(len(steps)), trace["residual_sup"], steps))
+        assert read(out / "history.csv") == reference_csv(["iteration", "residual", "step"], rows)
+
+    def test_orders_csv_matches_reference(self, tmp_path):
+        # a round surface with a = 1/c: every column holds nonzero values
+        cfg = write_config(tmp_path, c1=2.2, c2=2.2, a=1.0 / 2.2)
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads(read(out / "converge.json"))
+        rows = list(zip(data["grids"], data["residual_sup"], data["kappa_errors"],
+                        data["manufactured_truncation"]))
+        assert len(rows) == 3
+        want = reference_csv(["n", "residual_sup", "kappa_error", "manufactured_error"], rows)
+        assert read(out / "orders.csv") == want
 
     @pytest.mark.parametrize(
         "n, body, factors",

@@ -1,9 +1,11 @@
 """Damped Gauss-Newton behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
-from bhe import solver, toric
+from bhe import cli, solver, toric
 from bhe.frame_geometry import ValidationError
 from bhe.solver import SolverConfig, newton_solve
 from bhe.toric import ProductSurface, SphereProfile
@@ -252,8 +254,14 @@ class TestGaussNewton:
         topo = toric.topo_invariants(trace.surface)
         assert topo["constraint_defect_selfintersection"] < 1e-9
 
-    def test_history_rows_shape(self):
-        trace = newton_solve(perturbed_surface(n=32))
-        rows = trace.history_rows()
-        assert rows[0][0] == 0
-        assert len(rows) == trace.iterations + 1
+    def test_history_rows_shape(self, tmp_path):
+        # history.csv: one row for the start and one per accepted step
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c1": 2.0, "c2": 2.0, "a": 0.5, "n": 32, "perturb_eps": 1e-2}))
+        assert cli.main(["pde", "solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        iterations = json.loads((tmp_path / "trace.json").read_text())["iterations"]
+        assert iterations > 0
+        lines = (tmp_path / "history.csv").read_text().splitlines()
+        assert lines[0] == "iteration,residual,step"
+        assert len(lines) == iterations + 2
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(iterations + 1))
