@@ -2,8 +2,10 @@
 
 Four geometries: the two bi-invariant Bismut-flat threefold families, the
 Bismut-flat Hopf surface, and a flat Kahler control, each normalized so the
-Lee vector field is unit length.  A deterministically perturbed copy of the
-first model serves as the negative control.
+Lee vector field is unit length.  The negative control is the first model
+with its metric moved by a J-compatible symmetric matrix of size 1e-2,
+drawn from a fixed seed, so it is the same model in every process and is
+generically not BHE.
 
 Each model is built on first request and then shared: ``get_model`` and
 ``load_catalog`` hand out the same objects, so the geometry a model caches
@@ -69,24 +71,14 @@ def _build_flat_torus() -> HermitianModel:
     return HermitianModel(StructureAlgebra(c), MetricFrame(g), J, f=0.0, name="flat-torus")
 
 
-def compatible_symmetric(J: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random symmetric matrix commuting with the Hermitian pairing of J."""
-    n = J.shape[0]
-    A = rng.standard_normal((n, n))
-    S = 0.5 * (A + A.T)
-    return 0.5 * (S + J.T @ S @ J)
-
-
-def perturbed_model(base: HermitianModel, eps: float, name: str = "") -> HermitianModel:
-    """Seeded J-compatible metric perturbation of a model; generically not BHE."""
-    rng = np.random.default_rng(20250423)
-    S = compatible_symmetric(base.J, rng)
-    g = base.metric.g + eps * S
-    return HermitianModel(base.algebra, MetricFrame(g), base.J, f=base.f, name=name)
-
-
 def _build_perturbed_control() -> HermitianModel:
-    return perturbed_model(_build_su2xsu2(), 1e-2, name="perturbed-control")
+    """su2xsu2 with a seeded random J-compatible metric perturbation of size 1e-2; not BHE."""
+    base = _build_su2xsu2()
+    J = base.J
+    A = np.random.default_rng(20250423).standard_normal(J.shape)
+    S = 0.5 * (A + A.T)
+    g = base.metric.g + 1e-2 * (0.5 * (S + J.T @ S @ J))
+    return HermitianModel(base.algebra, MetricFrame(g), J, f=0.0, name="perturbed-control")
 
 
 _BUILDERS = {

@@ -175,6 +175,8 @@ class RunConfig:
             raise ValidationError(f"perturb_mode must be 'odd' or 'even' (got {self.perturb_mode!r})")
         if self.n < 16:
             raise ValidationError("grid size must be at least 16")
+        if self.n > 4096:  # a solve's dense step peaks near 11 n^2 doubles, 1.5 GB at n = 4096
+            raise ValidationError(f"grid size must be at most 4096 (got {self.n})")
         if self.kind1 not in ("sphere", "flat-torus") or self.kind2 not in (
             "sphere",
             "flat-torus",

@@ -82,11 +82,6 @@ class FormTensor:
         object.__setattr__(out, "components", np.asarray(components, dtype=float))
         return out
 
-    @staticmethod
-    def zero(degree: int, dim: int) -> "FormTensor":
-        shape = () if degree == 0 else (dim,) * degree
-        return FormTensor._of(degree, dim, np.zeros(shape))
-
     def __add__(self, other: "FormTensor") -> "FormTensor":
         self._check_compatible(other)
         return FormTensor._of(self.degree, self.dim, self.components + other.components)

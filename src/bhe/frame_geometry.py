@@ -93,9 +93,6 @@ class StructureAlgebra:
         cyc = term + np.einsum("bce,ead->abcd", c, c) + np.einsum("cae,ebd->abcd", c, c)
         return float(np.abs(cyc).max())
 
-    def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("abm,a,b->m", self.c, u, v)
-
 
 def nijenhuis(algebra: StructureAlgebra, J: np.ndarray) -> np.ndarray:
     """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on frame pairs."""
@@ -199,10 +196,6 @@ class HermitianModel:
     def V(self) -> np.ndarray:
         return _read_only(lee_vector(self))
 
-    def sharp(self, beta: FormTensor | np.ndarray) -> np.ndarray:
-        comp = beta.components if isinstance(beta, FormTensor) else np.asarray(beta)
-        return self.metric.inv @ comp
-
     def orthonormal_frame(self) -> np.ndarray:
         """Columns form a g-orthonormal frame (Cholesky-based, deterministic)."""
         L = np.linalg.cholesky(self.metric.g)
@@ -215,7 +208,6 @@ class ConnectionCoeffs:
 
     gamma: np.ndarray
     metric: MetricFrame
-    flavor: str  # "levi_civita" | "bismut"
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
@@ -306,7 +298,7 @@ def levi_civita(m: HermitianModel) -> ConnectionCoeffs:
     c_low = np.einsum("abm,mc->abc", m.algebra.c, m.metric.g)
     # array with entry [a,b,c] = c_{bca} is transpose (2,0,1); c_{cab} is (1,2,0)
     gamma = 0.5 * (c_low - np.transpose(c_low, (2, 0, 1)) + np.transpose(c_low, (1, 2, 0)))
-    return ConnectionCoeffs(gamma, m.metric, "levi_civita")
+    return ConnectionCoeffs(gamma, m.metric)
 
 
 def bismut_torsion(m: HermitianModel) -> FormTensor:
@@ -315,7 +307,7 @@ def bismut_torsion(m: HermitianModel) -> FormTensor:
 
 
 def bismut_connection(m: HermitianModel) -> ConnectionCoeffs:
-    return ConnectionCoeffs(m.lc.gamma + 0.5 * m.H.components, m.metric, "bismut")
+    return ConnectionCoeffs(m.lc.gamma + 0.5 * m.H.components, m.metric)
 
 
 def curvature(conn: ConnectionCoeffs, algebra: StructureAlgebra) -> CurvatureTensor:
@@ -375,7 +367,7 @@ def lee_form(m: HermitianModel) -> FormTensor:
 
 def lee_vector(m: HermitianModel) -> np.ndarray:
     """V = theta#  - grad f; f is constant on invariant frames, so V = theta#."""
-    return m.sharp(m.theta)
+    return m.metric.inv @ m.theta.components
 
 
 def gauduchon_residual(m: HermitianModel) -> float:

@@ -48,7 +48,6 @@ from .forms import (
 )
 from .frame_geometry import (
     BHE_TOL,
-    ConnectionCoeffs,
     HermitianModel,
     KahlerInputError,
     StructureAlgebra,
@@ -87,10 +86,6 @@ class ReductionData:
     @property
     def dim(self) -> int:
         return self.parent.dim
-
-    @property
-    def hdim(self) -> int:
-        return self.horizontal.shape[1]
 
     # Derived data, each computed once on first use and read-only.  The
     # horizontal components are in the orthonormal frame `horizontal`.
@@ -463,7 +458,7 @@ def identity_suite(r: ReductionData, name: str = "") -> Report:
 def transverse_package(r: ReductionData) -> tuple[HermitianModel, FormTensor, FormTensor, float]:
     """Transverse model plus principal curvatures, in the horizontal frame."""
     E = r.horizontal
-    hd = r.hdim
+    hd = E.shape[1]
     g = r.parent.metric.g
     # horizontal part of horizontal brackets, expanded in the orthonormal frame
     cH = pullback(r.parent.algebra.c, E, E, g @ E)

@@ -119,8 +119,8 @@ class SphereProfile:
         return SphereProfile(c, n, (c * c - z * z) / c, "sphere")
 
     @staticmethod
-    def flat(c: float, n: int, value: float = 1.0) -> "SphereProfile":
-        return SphereProfile(c, n, np.full(n, float(value)), "flat-torus")
+    def flat(c: float, n: int) -> "SphereProfile":
+        return SphereProfile(c, n, np.ones(n), "flat-torus")
 
     @staticmethod
     def quartic_bump(c: float, n: int, eps: float) -> "SphereProfile":
@@ -170,10 +170,8 @@ def _pole_d1(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h), (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
 
 
-def _d2(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Second-order second derivative along the profile grid."""
-    if axis:
-        u = np.moveaxis(u, axis, 0)
+def _d2(p: SphereProfile, u: np.ndarray) -> np.ndarray:
+    """Second-order second derivative along axis 0 of the profile grid."""
     h2 = p.h * p.h
     if p.kind == "flat-torus":
         out = (np.roll(u, -1, axis=0) - 2 * u + np.roll(u, 1, axis=0)) / h2
@@ -184,12 +182,12 @@ def _d2(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
         # central one, so the error field stays smooth across the boundary
         out[0] = (3 * u[0] - 9 * u[1] + 10 * u[2] - 5 * u[3] + u[4]) / h2
         out[-1] = (3 * u[-1] - 9 * u[-2] + 10 * u[-3] - 5 * u[-4] + u[-5]) / h2
-    return np.moveaxis(out, 0, axis) if axis else out
+    return out
 
 
 def gauss_curvature(p: SphereProfile) -> np.ndarray:
-    """kappa = -Theta''/2 by central differences, one-sided at the poles."""
-    return -0.5 * _d2(p, p.theta)
+    """kappa = -Theta''/2 by central differences, one-sided at the poles; +0.0 where Theta'' is 0."""
+    return -0.5 * _d2(p, p.theta) + 0.0
 
 
 def laplacian_1d(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:

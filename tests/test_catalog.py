@@ -67,6 +67,7 @@ class TestGenerators:
             assert np.min(np.linalg.eigvalsh(mf.g)) > 0
 
     def test_perturbation_is_deterministic(self):
-        a = catalog.perturbed_model(catalog.build_model("su2xsu2"), 1e-2)
-        b = catalog.perturbed_model(catalog.build_model("su2xsu2"), 1e-2)
-        assert np.array_equal(a.metric.g, b.metric.g)
+        a = catalog.build_model("perturbed-control")
+        b = catalog.build_model("perturbed-control")
+        assert a is not b and np.array_equal(a.metric.g, b.metric.g)
+        assert not np.array_equal(a.metric.g, catalog.build_model("su2xsu2").metric.g)

@@ -130,6 +130,16 @@ class TestPde:
         cfg = write_config(tmp_path, n=8)
         assert main(["pde", "residual", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_large_grid_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n=4097)
+        line = "bhe: invalid input: grid size must be at most 4096 (got 4097)\n"
+        for command in (["pde", "residual"], ["pde", "solve"], ["converge"]):
+            assert main([*command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err == line
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+        # the bound itself is a valid size; no solve is run at that size
+        assert cli.RunConfig("pde-solve", n=4096).n == 4096
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, bogus=1)
         assert main(["pde", "residual", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -354,6 +364,8 @@ class TestCsvWriter:
         assert len(rows) == n + 1
         want = reference_csv(["z", "Theta1", "Theta2", "kappa1", "kappa2"], rows)
         assert read(out / "surface.csv") == want
+        # a flat factor's kappa column is +0.0 on every node
+        assert b"-0.0000000000000000e+00" not in want
 
     @pytest.mark.parametrize(
         "body, flag, code",

@@ -145,7 +145,7 @@ BAD_INPUT = {
     "HermitianModel-entry": lambda m, x: fg.HermitianModel(
         m.algebra, m.metric, _put(m.J, (0, 1), x)),
     "ConnectionCoeffs": lambda m, x: fg.ConnectionCoeffs(
-        _put(m.lc.gamma, (0, 1, 2), x), m.metric, "levi_civita"),
+        _put(m.lc.gamma, (0, 1, 2), x), m.metric),
     "CurvatureTensor": lambda m, x: fg.CurvatureTensor(
         _put(m.lc_curvature.R, (0, 1, 2, 3), x)),
 }

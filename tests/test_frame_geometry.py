@@ -54,6 +54,11 @@ def random_form(k, dim, rng):
     return FormTensor(k, dim, out / math.factorial(k))
 
 
+def bracket(alg, u, v):
+    """[u, v] = u^a v^b c[a, b, m] e_m."""
+    return np.einsum("abm,a,b->m", alg.c, u, v)
+
+
 def koszul_oracle(m):
     """2 <nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>, by explicit loops."""
     n, g, alg = m.dim, m.metric.g, m.algebra
@@ -63,9 +68,9 @@ def koszul_oracle(m):
             for c in range(n):
                 ea, eb, ec = np.eye(n)[a], np.eye(n)[b], np.eye(n)[c]
                 gamma[a, b, c] = 0.5 * (
-                    alg.bracket(ea, eb) @ g @ ec
-                    - alg.bracket(eb, ec) @ g @ ea
-                    + alg.bracket(ec, ea) @ g @ eb
+                    bracket(alg, ea, eb) @ g @ ec
+                    - bracket(alg, eb, ec) @ g @ ea
+                    + bracket(alg, ec, ea) @ g @ eb
                 )
     return gamma
 
@@ -84,7 +89,7 @@ def curvature_oracle(conn, alg):
             for c in range(n):
                 ec = np.eye(n)[c]
                 term = nab(a, nab(b, ec)) - nab(b, nab(a, ec))
-                br = alg.bracket(np.eye(n)[a], np.eye(n)[b])
+                br = bracket(alg, np.eye(n)[a], np.eye(n)[b])
                 term = term - np.einsum("e,ebm,b->m", br, G, ec)
                 R[a, b, c] = term @ conn.metric.g
     return R
@@ -220,10 +225,10 @@ class TestCurvature:
         # bi-invariant sectional curvature is |[X,Y]|^2/4 on orthonormal pairs
         alg = su2_algebra()
         g = MetricFrame(np.eye(3))
-        gamma = ConnectionCoeffs(0.5 * np.einsum("abm,mc->abc", alg.c, g.g), g, "levi_civita")
+        gamma = ConnectionCoeffs(0.5 * np.einsum("abm,mc->abc", alg.c, g.g), g)
         R = curvature(gamma, alg).R
         for a, b in ((0, 1), (1, 2), (0, 2)):
-            br = alg.bracket(np.eye(3)[a], np.eye(3)[b])
+            br = bracket(alg, np.eye(3)[a], np.eye(3)[b])
             assert R[a, b, b, a] == pytest.approx(0.25 * br @ br)
 
     def test_su2xsu2_bismut_flat(self):
@@ -238,9 +243,9 @@ class TestCurvature:
         m = catalog.build_model("hopf")
         H = bismut_torsion(m)
         lc = levi_civita(m)
-        gb = ConnectionCoeffs(lc.gamma + 0.5 * H.components, m.metric, "bismut")
+        gb = ConnectionCoeffs(lc.gamma + 0.5 * H.components, m.metric)
         assert np.max(np.abs(gb.gamma)) < 1e-14
-        other = ConnectionCoeffs(lc.gamma - 0.5 * H.components, m.metric, "bismut")
+        other = ConnectionCoeffs(lc.gamma - 0.5 * H.components, m.metric)
         c_low = np.einsum("abm,mc->abc", m.algebra.c, m.metric.g)
         assert np.allclose(other.gamma, c_low)
         assert curvature(other, m.algebra).sup_norm() < 1e-14
@@ -257,7 +262,7 @@ class TestCurvature:
     def test_ricci_positive_on_round_sphere_frame(self):
         alg = su2_algebra()
         g = MetricFrame(np.eye(3))
-        gamma = ConnectionCoeffs(0.5 * np.einsum("abm,mc->abc", alg.c, g.g), g, "levi_civita")
+        gamma = ConnectionCoeffs(0.5 * np.einsum("abm,mc->abc", alg.c, g.g), g)
         Rc = ricci_tensor(curvature(gamma, alg), g)
         assert np.allclose(Rc, 0.5 * np.eye(3))
 

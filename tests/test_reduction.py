@@ -299,7 +299,7 @@ class TestAssembly:
         flat = HermitianModel(
             StructureAlgebra(np.zeros((4, 4, 4))), MetricFrame(np.eye(4)), J4
         )
-        zero = FormTensor.zero(2, 4)
+        zero = FormTensor(2, 4, np.zeros((4, 4)))
         asm = reduction.assemble(flat, zero, zero)
         assert np.max(np.abs(asm.algebra.c)) == 0.0
         assert bhe_residual(asm) == 0.0
@@ -326,7 +326,7 @@ class TestAssembly:
         bad[1, 3] = -1.0
         bad[3, 1] = 1.0  # anti-invariant under J4
         with pytest.raises(ValidationError):
-            reduction.assemble(flat, FormTensor(2, 4, bad), FormTensor.zero(2, 4))
+            reduction.assemble(flat, FormTensor(2, 4, bad), FormTensor(2, 4, np.zeros((4, 4))))
 
     def test_rejects_non_closed_curvature(self):
         # over a nonabelian transverse algebra, a constant mixed 2-form
@@ -348,7 +348,7 @@ class TestAssembly:
         assert type_decompose(F, J4)[1].sup_norm() < 1e-14
         assert exterior_derivative(F, trans.algebra).sup_norm() > 0.5
         with pytest.raises(ValidationError):
-            reduction.assemble(trans, F, FormTensor.zero(2, 4))
+            reduction.assemble(trans, F, FormTensor(2, 4, np.zeros((4, 4))))
 
     def test_rejects_jacobi_incompatible_curvature_pair(self):
         J4 = np.zeros((4, 4))

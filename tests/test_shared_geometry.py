@@ -52,7 +52,7 @@ class TestGeometryCache:
         for name in ("levi_civita", "bismut_torsion", "bismut_ricci_form", "lee_form"):
             _counting(monkeypatch, fg, name, lambda mm: (id(mm),), counts, keep)
         _counting(monkeypatch, fg, "curvature",
-                  lambda conn, alg: (id(conn.metric), conn.flavor), counts, keep)
+                  lambda conn, alg: (id(conn),), counts, keep)
         # reduction binds exterior_derivative under its own name
         for module in (fg, reduction):
             _counting(monkeypatch, module, "exterior_derivative",
@@ -75,8 +75,10 @@ class TestGeometryCache:
         # both models need their Bismut curvature (bhe_residual, lemma_suite)
         # and their Riemann curvature: the variant for verify_lrho, its
         # rescaling for the transverse curvature
-        flavors = Counter(k[2] for k in counts if k[0] == "curvature")
-        assert flavors == {"levi_civita": 2, "bismut": 2}
+        models = {id(a[0]): a[0] for a in keep if isinstance(a[0], fg.HermitianModel)}
+        assert len(models) == 2
+        curved = {k[1] for k in counts if k[0] == "curvature"}
+        assert curved == {id(conn) for mm in models.values() for conn in (mm.lc, mm.bismut)}
         # the reduction suites share one transverse curvature and connection
         assert per_function["transverse_curvature"] == 1
         assert per_function["transverse_connection"] == 1

@@ -10,6 +10,7 @@ from bhe import toric
 from bhe.frame_geometry import ValidationError
 from bhe.report import Report
 from bhe.toric import ProductSurface, SphereProfile
+from helpers import flat_profile
 
 
 def poly_kappa(c, eps):
@@ -46,8 +47,8 @@ class TestProfiles:
             lambda: SphereProfile.round(float("nan"), 32),
             lambda: SphereProfile(float("inf"), 32, SphereProfile.round(1.0, 32).theta),
             lambda: SphereProfile(1.0, 32, np.where(np.arange(33) == 5, np.nan, 1 - np.linspace(-1, 1, 33) ** 2)),
-            lambda: SphereProfile.flat(1.0, 32, float("nan")),
-            lambda: SphereProfile.flat(1.0, 32, float("inf")),
+            lambda: flat_profile(1.0, 32, float("nan")),
+            lambda: flat_profile(1.0, 32, float("inf")),
         ],
         ids=["nan-c", "inf-c", "nan-interior", "nan-flat", "inf-flat"],
     )
@@ -75,8 +76,8 @@ class TestProfiles:
             make()
 
     def test_flat_profile_constant(self):
-        p = SphereProfile.flat(1.0, 32, 2.0)
-        assert np.all(p.theta == 2.0)
+        assert np.all(SphereProfile.flat(1.0, 32).theta == 1.0)
+        assert np.all(flat_profile(1.0, 32, 2.0).theta == 2.0)
         with pytest.raises(ValidationError):
             SphereProfile(1.0, 32, np.linspace(1, 2, 32), "flat-torus")
 
@@ -93,6 +94,8 @@ class TestGaussCurvature:
     def test_flat_factor_zero(self):
         p = SphereProfile.flat(1.0, 64)
         assert np.max(np.abs(toric.gauss_curvature(p))) == 0.0
+        # +0.0, not -Theta''/2 = -0.0, so surface.csv prints no negative zero
+        assert not np.signbit(toric.gauss_curvature(p)).any()
 
     def test_quartic_bump_second_order(self):
         # kappa of the quartic-bump profile against its exact polynomial value
@@ -471,7 +474,7 @@ class TestRowBlocks:
         # the forward map's fields are constant along a flat factor, so a
         # wrong periodic halo would not show there; a random field does
         monkeypatch.setattr(toric, "BLOCK_VALUES", 1)
-        p = SphereProfile.round_perturbed(2.0, n, 0.01) if kind == "sphere" else SphereProfile.flat(2.0, n, 1.7)
+        p = SphereProfile.round_perturbed(2.0, n, 0.01) if kind == "sphere" else flat_profile(2.0, n, 1.7)
         u = np.random.default_rng(n).standard_normal((p.theta.size, 5))
         d1, lap = toric._d1(p, u), toric.laplacian_1d(p, u)
         for i0, i1 in toric._row_blocks(*u.shape):
@@ -529,7 +532,7 @@ class TestPositiveCurvatureGate:
             try:
                 p1 = SphereProfile.round_perturbed(c, n, float(rng.uniform(-0.15, 0.15)),
                                                    str(rng.choice(["odd", "even"])))
-                p2 = (SphereProfile.flat(c, n, float(rng.uniform(0.5, 2.0))) if rng.random() < 0.3
+                p2 = (flat_profile(c, n, float(rng.uniform(0.5, 2.0))) if rng.random() < 0.3
                       else SphereProfile.round_perturbed(c, n, float(rng.uniform(-0.05, 0.05)), "even"))
             except ValidationError:  # a profile that turns nonpositive
                 continue
