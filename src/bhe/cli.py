@@ -12,9 +12,10 @@ runs produce byte-identical artifacts.  Exit codes: 0 pass, 1 tolerance
 failure, 2 invalid input.
 
 ``residual.csv`` holds a header plus (n+1)^2 rows ``z1,z2,E`` in z1-major
-order (a flat-torus factor has n nodes, not n+1).  It is streamed in blocks
-of whole grid rows with at most ``toric.BLOCK_VALUES`` = 2**13 values,
-about 2.5 MB of extra memory at any n.  The floats of every CSV go through
+order (a flat-torus factor has n nodes, not n+1).  It is streamed in the
+row blocks of ``toric._row_blocks``: whole grid rows with at most
+``toric.BLOCK_VALUES`` = 2**13 values, or 3 to 5 rows where a row is
+longer, a few MB of extra memory at any n.  The floats of every CSV go through
 one vectorized numpy kernel (``bhe._format``), exactly rounded and
 byte-identical to ``"%.16e" % x``: it scales |x| by a power of ten in
 longdouble and reads off the 17 digits wherever a proven error bound
@@ -177,25 +178,49 @@ class RunConfig:
             raise ValidationError("grid size must be at least 16")
         if self.n > 4096:  # a solve's dense step peaks near 11 n^2 doubles, 1.5 GB at n = 4096
             raise ValidationError(f"grid size must be at most 4096 (got {self.n})")
+        if self.command == "converge" and self.n != 64:
+            raise ValidationError(f"converge runs the grids 64, 128 and 256, so n must be 64 (got {self.n})")
         if self.kind1 not in ("sphere", "flat-torus") or self.kind2 not in (
             "sphere",
             "flat-torus",
         ):
             raise ValidationError("factor kinds must be 'sphere' or 'flat-torus'")
+        if self.perturb_eps and self.kind1 == self.kind2 == "flat-torus":
+            raise ValidationError("perturb_eps perturbs sphere factors, and both factors are flat")
+
+
+_SURFACE_KEYS = {"c1", "c2", "kind1", "kind2", "a", "n"}
+_CONFIG_KEYS = {  # the config keys each surface command reads
+    "converge": _SURFACE_KEYS,
+    "pde-residual": _SURFACE_KEYS | {"perturb_eps", "perturb_mode"},
+    "pde-solve": _SURFACE_KEYS | {"perturb_eps", "perturb_mode", "solver_tol", "max_iterations"},
+}
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``; a key given twice is refused, not read as its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"duplicate config key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _surface_config(path: str, command: str, out: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
-    known = {
-        "c1", "c2", "kind1", "kind2", "a", "n",
-        "perturb_eps", "perturb_mode", "solver_tol", "max_iterations",
-    }
+    known = _CONFIG_KEYS[command]
     bad = set(raw) - known
     if bad:
-        raise ValidationError(f"unknown config keys: {sorted(bad)}")
+        raise ValidationError(
+            f"unknown config keys: {sorted(bad)}; bhe {command.replace('-', ' ')} "
+            f"reads only {', '.join(sorted(known))}"
+        )
+    if "perturb_mode" in raw and not raw.get("perturb_eps"):
+        raise ValidationError("perturb_mode is read only with a non-zero perturb_eps")
     return RunConfig(command=command, out=out, **raw)
 
 
@@ -324,16 +349,15 @@ def _csv_columns(*columns) -> bytearray:
 def _residual_lines(field: toric.PdeResidualField):
     """``z1,z2,E`` lines in z1-major order, one ``_lines`` chunk per block of grid rows.
 
-    A block holds whole grid rows and at most ``toric.BLOCK_VALUES`` values,
-    or a single row if one row is longer, so the extra memory stays one
-    block at any n.
+    The blocks are ``toric._row_blocks``, as for the l2 norm and the
+    forward map: whole grid rows, up to ``toric.BLOCK_VALUES`` values, or
+    3 to 5 rows where a row is longer, so the extra memory stays one block.
     """
     z1 = _format.e16_cells(field.z1, ",")
     z2 = _format.e16_cells(field.z2, ",")
-    rows = max(1, toric.BLOCK_VALUES // len(z2))
-    for i in range(0, len(z1), rows):
-        E = field.E[i : i + rows]
-        yield _lines(z1[i : i + len(E), None], z2, _format.e16_cells(E, "\n").reshape(E.shape))
+    for i0, i1 in toric._row_blocks(*field.E.shape):
+        E = field.E[i0:i1]
+        yield _lines(z1[i0:i1, None], z2, _format.e16_cells(E, "\n").reshape(E.shape))
 
 
 def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> tuple[float, float]:

@@ -9,7 +9,7 @@ system is rectangular and least-squares is the natural formulation.
 The residual separates over the two factors:
 
     E[i, j] = A1[i] + A2[j] - 2 k1[i] k2[j] + 2 a^2,
-    k_f = -Theta_f''/2,  A_f = L_f(k_f),
+    k_f = -Theta_f''/2,  A_f = L_f(k_f) = toric.flux_laplacian(p_f, Theta_f, k_f),
 
 and toric._residual_grid builds E that way, from the factor data and one
 outer product; the solver calls it directly for each trial point and
@@ -56,13 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frame_geometry import ValidationError
-from .toric import (
-    ProductSurface,
-    SphereProfile,
-    _d2,
-    _residual_grid,
-    sphere_flux_laplacian,
-)
+from .toric import ProductSurface, SphereProfile, _d2, _residual_grid, flux_laplacian
 
 
 DAMPING = 0.5  # step factor after a rejected trial point
@@ -169,7 +163,8 @@ def _factor_derivatives(p: SphereProfile) -> tuple[np.ndarray, np.ndarray]:
 
     Unknown j moves by FD_STEP * max(1, |x_j|) through the pole-constraint
     map; all perturbed profiles are stacked as columns and differentiated
-    in one pass.  Returns (DA, Dk), each (n+1) x (n-3).
+    in one pass, flux_laplacian taking each column's own Theta.  Returns
+    (DA, Dk), each (n+1) x (n-3).
     """
     inner = p.theta[2:-2]
     m = inner.size
@@ -178,7 +173,7 @@ def _factor_derivatives(p: SphereProfile) -> tuple[np.ndarray, np.ndarray]:
     X[np.arange(m), np.arange(1, m + 1)] += delta
     theta = _sphere_theta(p, X)
     k = -0.5 * _d2(p, theta)
-    A = sphere_flux_laplacian(p, theta, k)
+    A = flux_laplacian(p, theta, k)
     return (A[:, 1:] - A[:, :1]) / delta, (k[:, 1:] - k[:, :1]) / delta
 
 

@@ -9,6 +9,11 @@ one-dimensional finite differences:
     Lap h = d/dz1 (Theta1 dh/dz1) + d/dz2 (Theta2 dh/dz2),
     (dd^c h) ^ omega = (Lap h) dV.
 
+Each factor has two grid operators, the first difference _d1 and the
+conservative flux Laplacian flux_laplacian, (Theta u')'.  Both act along
+axis 0 for either factor kind; along the second factor of a product grid
+they act on the transposed array.
+
 Invariant 2-forms are pairs (P, Q) of grid functions against the factor
 area forms omega_1, omega_2; then (P,Q) ^ (P',Q') = (P Q' + Q P') dV, the
 Hodge star swaps the pair, and the full double-sum norm is
@@ -72,8 +77,7 @@ class SphereProfile:
             if not np.all(theta[1:-1] > 0):
                 raise ValidationError("profile must be positive at interior nodes")
             h = self.h
-            dl = (-3 * theta[0] + 4 * theta[1] - theta[2]) / (2 * h)
-            dr = (3 * theta[-1] - 4 * theta[-2] + theta[-3]) / (2 * h)
+            dl, dr = _pole_d1(theta, h)
             tol = 50.0 * h * h
             if abs(dl - 2.0) > tol or abs(dr + 2.0) > tol:
                 raise ValidationError(
@@ -151,18 +155,15 @@ def _check_profile_scale(c: float, eps: float | None = None) -> None:
         raise ValidationError(f"half-length c = {c!r} is too large: the profile formula overflows")
 
 
-def _d1(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Second-order first derivative along the profile grid."""
-    if axis:
-        u = np.moveaxis(u, axis, 0)
+def _d1(p: SphereProfile, u: np.ndarray) -> np.ndarray:
+    """Second-order first derivative along axis 0 of the profile grid."""
     h = p.h
     if p.kind == "flat-torus":
-        out = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2 * h)
-    else:
-        out = np.empty_like(u)
-        out[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-        out[0], out[-1] = _pole_d1(u, h)
-    return np.moveaxis(out, 0, axis) if axis else out
+        return (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2 * h)
+    out = np.empty_like(u)
+    out[1:-1] = (u[2:] - u[:-2]) / (2 * h)
+    out[0], out[-1] = _pole_d1(u, h)
+    return out
 
 
 def _pole_d1(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -190,27 +191,19 @@ def gauss_curvature(p: SphereProfile) -> np.ndarray:
     return -0.5 * _d2(p, p.theta) + 0.0
 
 
-def laplacian_1d(p: SphereProfile, u: np.ndarray, axis: int = 0) -> np.ndarray:
-    """(Theta u')' in conservative form; pole rows use Theta'(pole) u'(pole)."""
-    u_m = np.moveaxis(u, axis, 0)
-    th = p.theta
-    h = p.h
-    if p.kind == "flat-torus":
-        flux = th[0] * (np.roll(u_m, -1, axis=0) - u_m) / h
-        out = (flux - np.roll(flux, 1, axis=0)) / h
-        return np.moveaxis(out, 0, axis)
-    th_b = th.reshape((-1,) + (1,) * (u_m.ndim - 1))
-    return np.moveaxis(sphere_flux_laplacian(p, th_b, u_m), 0, axis)
+def flux_laplacian(p: SphereProfile, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(theta u')' in conservative form along axis 0 of u, on the grid of p.
 
-
-def sphere_flux_laplacian(p: SphereProfile, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(theta u')' along axis 0 on the sphere grid of p, for any node values theta.
-
-    theta broadcasts against u, so one call can apply the stencil of many
-    profiles at once (one profile per column).  Pole rows use
-    theta'(pole) u'(pole).
+    theta holds node values on the rows of u and broadcasts against it, so
+    one call can apply the stencil of many profiles at once (one profile
+    per column).  A flat factor's grid is periodic and its constant theta
+    multiplies each flux; a sphere factor's fluxes take theta at the half
+    points, and its pole rows use theta'(pole) u'(pole).
     """
     h = p.h
+    if p.kind == "flat-torus":
+        flux = theta * (np.roll(u, -1, axis=0) - u) / h
+        return (flux - np.roll(flux, 1, axis=0)) / h
     half = 0.5 * (theta[1:] + theta[:-1])
     flux = half * (u[1:] - u[:-1]) / h
     out = np.empty_like(u)
@@ -280,7 +273,8 @@ def _residual_grid(s: ProductSurface) -> tuple[np.ndarray, tuple[np.ndarray, np.
     only A_f = L_f(k_f) on each factor.  This is the only code that builds E.
     """
     k1, k2 = ricci_form_coeffs(s)
-    A1, A2 = laplacian_1d(s.factor1, k1), laplacian_1d(s.factor2, k2)
+    A1 = flux_laplacian(s.factor1, s.factor1.theta, k1)
+    A2 = flux_laplacian(s.factor2, s.factor2.theta, k2)
     return _separable_residual(A1, A2, k1, k2, s.a), (k1, k2)
 
 
@@ -328,11 +322,11 @@ def pde_residual(s: ProductSurface) -> PdeResidualField:
 
 
 def _row_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
-    """Row ranges [i0, i1) covering a rows x cols grid in blocks of at most BLOCK_VALUES values.
+    """Row ranges [i0, i1) covering a rows x cols grid in blocks of whole rows, up to BLOCK_VALUES values.
 
     No block has fewer than 3 rows, so that a sphere factor's one-sided
     pole stencils fit inside a block with its halo; a short last block is
-    merged into the one before it.
+    merged into the one before it, which then holds up to 2 rows more.
     """
     step = max(3, BLOCK_VALUES // cols)
     starts = list(range(0, rows, step))
@@ -391,13 +385,6 @@ def _halo_rows(p: SphereProfile, i0: int, i1: int) -> tuple[slice | np.ndarray, 
     return slice(lo, hi), slice(i0 - lo, i1 - lo)
 
 
-def _laplacian_rows(p: SphereProfile, u: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
-    """laplacian_1d of p along axis 0 of u, which holds the grid rows `rows` of p."""
-    if p.kind == "flat-torus":
-        return laplacian_1d(p, u)
-    return sphere_flux_laplacian(p, p.theta[rows, None], u)
-
-
 def p4d_forward(s: ProductSurface) -> tuple[float, Report]:
     """Checks of the reduced data (g^T, F_V, F_JV, f) on the grid, and their C estimate.
 
@@ -432,11 +419,12 @@ def p4d_forward(s: ProductSurface) -> tuple[float, Report]:
         f_h = np.log(ef_h)
         fb, efb = f_h[keep], ef_h[keep]
         df1 = _d1(p1, f_h)[keep]
-        df2 = _d1(p2, fb, axis=1)
+        df2 = _d1(p2, fb.T).T
         lee1 = np.abs(_d1(p1, ef_h)[keep] - efb * df1).max()
-        lee2 = np.abs(_d1(p2, efb, axis=1) - efb * df2).max()
+        lee2 = np.abs(_d1(p2, efb.T).T - efb * df2).max()
 
-        lap_f = _laplacian_rows(p1, f_h, rows)[keep] + laplacian_1d(p2, fb, axis=1)
+        lap_f = flux_laplacian(p1, p1.theta[rows, None], f_h)[keep]
+        lap_f += flux_laplacian(p2, p2.theta[:, None], fb.T).T
         grad2 = p1.theta[i0:i1, None] * df1**2 + th2 * df2**2
         rhs_anomaly = -2.0 * a * a + 2.0 * np.outer(k1[i0:i1], k2)
         anomaly = np.abs(efb * (lap_f + grad2) - rhs_anomaly).max()

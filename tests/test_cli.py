@@ -243,6 +243,60 @@ def test_tolerance_key_rejected(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (["pde", "residual"], "solver_tol", 0.5),
+        (["pde", "residual"], "max_iterations", 1),
+        (["converge"], "perturb_eps", 0.5),
+        (["converge"], "perturb_mode", "even"),
+        (["converge"], "solver_tol", 0.5),
+        (["converge"], "max_iterations", 1),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else None,
+)
+def test_unread_key_rejected(tmp_path, capsys, command, key, value):
+    # pde solve reads every surface key; the other two commands read fewer,
+    # and a key the command would ignore exits 2 like an unknown one
+    cfg = write_config(tmp_path, n=32, **{key: value})
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bhe: invalid input: unknown config keys: [{key!r}]; bhe {' '.join(command)} reads only")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "probe, reason",
+    [
+        ({"perturb_mode": "even"}, "perturb_mode is read only with a non-zero perturb_eps"),
+        ({"perturb_mode": "even", "perturb_eps": 0.0}, "perturb_mode is read only with a non-zero perturb_eps"),
+        ({"kind1": "flat-torus", "kind2": "flat-torus", "c1": 1.0, "c2": 1.0, "a": 0.0, "perturb_eps": 0.01},
+         "perturb_eps perturbs sphere factors, and both factors are flat"),
+    ],
+    ids=["mode-without-eps", "mode-with-zero-eps", "eps-on-flat-flat"],
+)
+@pytest.mark.parametrize("command", [["pde", "residual"], ["pde", "solve"]], ids=lambda c: "-".join(c))
+def test_perturbation_without_effect_rejected(tmp_path, capsys, command, probe, reason):
+    # converge reads neither key; the two pde commands read them only where they perturb a profile
+    cfg = write_config(tmp_path, n=32, **probe)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"bhe: invalid input: {reason}\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "command", [["pde", "residual"], ["pde", "solve"], ["converge"]], ids=lambda c: "-".join(c)
+)
+def test_duplicate_key_rejected(tmp_path, capsys, command):
+    # json.load would keep the last value and run n = 32
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"c1": 2.0, "c2": 2.0, "a": 0.5, "n": 64, "n": 32}', encoding="utf-8")
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "bhe: invalid input: duplicate config key 'n'\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("text", ["5", "null", '"x"', "[1]"], ids=["int", "null", "str", "list"])
 @pytest.mark.parametrize(
     "command", [["pde", "residual"], ["pde", "solve"], ["converge"]], ids=lambda c: "-".join(c)
@@ -264,6 +318,15 @@ class TestConverge:
         assert data["grids"] == [64, 128, 256]
         assert all(o == "at-floor" or o >= 1.9 for o in data["residual_orders"])
         assert all(o >= 1.9 for o in data["manufactured_orders"])
+
+    @pytest.mark.parametrize("n", [32, 128, 1024])
+    def test_grid_other_than_64_exit_2(self, tmp_path, capsys, n):
+        # the grids are fixed at 64, 128 and 256; another n is refused, not ignored
+        cfg = write_config(tmp_path, n=n)
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"bhe: invalid input: converge runs the grids 64, 128 and 256, so n must be 64 (got {n})\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     @pytest.mark.parametrize("c", [0.61, 2.05, 2.2, 2.45, 41.0])
     def test_round_surface_at_floor(self, tmp_path, c):

@@ -13,6 +13,11 @@ from bhe.toric import ProductSurface, SphereProfile
 from helpers import flat_profile
 
 
+def laplacian(p, u):
+    """(Theta u')' of p along axis 0 of u, with p's own Theta on every column."""
+    return toric.flux_laplacian(p, p.theta.reshape((-1,) + (1,) * (u.ndim - 1)), u)
+
+
 def poly_kappa(c, eps):
     """Analytic curvature of the quartic-bump profile, via exact polynomials."""
     P = np.polynomial.Polynomial
@@ -125,12 +130,12 @@ class TestLaplacian:
     def test_constant_in_kernel(self):
         s = ProductSurface(SphereProfile.round(2.0, 32), SphereProfile.flat(1.0, 32))
         h = np.ones((33, 32))
-        assert np.max(np.abs(toric.laplacian_1d(s.factor1, h, axis=0))) == 0.0
-        assert np.max(np.abs(toric.laplacian_1d(s.factor2, h, axis=1))) == 0.0
+        assert np.max(np.abs(laplacian(s.factor1, h))) == 0.0
+        assert np.max(np.abs(laplacian(s.factor2, h.T).T)) == 0.0
 
     def test_coordinate_function_on_round_sphere(self):
         p = SphereProfile.round(1.0, 64)
-        lap = toric.laplacian_1d(p, p.z)
+        lap = laplacian(p, p.z)
         assert np.max(np.abs(lap + 2 * p.z)) < 1e-12
 
     def test_discrete_integration_by_parts(self):
@@ -139,7 +144,7 @@ class TestLaplacian:
         w = p.weights()
         h = np.exp(-(z**2)) * (1 + z)
         v = np.cos(z) + 0.3 * z**2
-        lhs = float(np.sum(toric.laplacian_1d(p, h) * v * w))
+        lhs = float(np.sum(laplacian(p, h) * v * w))
         dh = toric._d1(p, h)
         dv = toric._d1(p, v)
         rhs = -float(np.sum(p.theta * dh * dv * w))
@@ -384,8 +389,8 @@ class TestDiagnosticsCanFail:
                     for s, e in zip(surfaces, sups)]
 
         assert second_order(gaps()), gaps()
-        laplacian = toric.laplacian_1d
-        monkeypatch.setattr(toric, "laplacian_1d", lambda p, u, axis=0: 1.01 * laplacian(p, u, axis))
+        flux_laplacian = toric.flux_laplacian
+        monkeypatch.setattr(toric, "flux_laplacian", lambda p, theta, u: 1.01 * flux_laplacian(p, theta, u))
         assert not second_order(gaps()), gaps()
 
 
@@ -399,7 +404,7 @@ def whole_grid_residual(s):
     """E = (1/2) Lap R - 2 k1 k2 + 2 a^2 with 2-D stencils on the full grid, and R."""
     k1, k2 = toric.ricci_form_coeffs(s)
     R = 2.0 * k1[:, None] + 2.0 * k2[None, :]
-    lap = toric.laplacian_1d(s.factor1, R, axis=0) + toric.laplacian_1d(s.factor2, R, axis=1)
+    lap = laplacian(s.factor1, R) + laplacian(s.factor2, R.T).T
     return 0.5 * lap - 2.0 * np.outer(k1, k2) + 2.0 * s.a**2, R
 
 
@@ -422,13 +427,14 @@ def whole_grid_forward(s):
     rep = Report("forward_map")
     res_lee = 0.0
     df = []
-    for axis, p in ((0, s.factor1), (1, s.factor2)):
-        lhs = toric._d1(p, ef, axis=axis)
-        df.append(toric._d1(p, f, axis=axis))
-        res_lee = max(res_lee, float(np.max(np.abs(lhs - ef * df[-1]))))
+    for p, ef_p, f_p in ((s.factor1, ef, f), (s.factor2, ef.T, f.T)):
+        # the second factor runs along axis 0 of the transposed grid
+        lhs = toric._d1(p, ef_p)
+        df.append(toric._d1(p, f_p))
+        res_lee = max(res_lee, float(np.max(np.abs(lhs - ef_p * df[-1]))))
     rep.record("transverse_lee_is_df", res_lee)
-    lap_f = toric.laplacian_1d(s.factor1, f, axis=0) + toric.laplacian_1d(s.factor2, f, axis=1)
-    df1, df2 = df
+    lap_f = laplacian(s.factor1, f) + laplacian(s.factor2, f.T).T
+    df1, df2 = df[0], df[1].T
     grad2 = s.factor1.theta[:, None] * df1**2 + s.factor2.theta[None, :] * df2**2
     lhs_anomaly = ef * (lap_f + grad2)
     rhs_anomaly = -2.0 * a * a + 2.0 * np.outer(k1, k2)
@@ -476,11 +482,11 @@ class TestRowBlocks:
         monkeypatch.setattr(toric, "BLOCK_VALUES", 1)
         p = SphereProfile.round_perturbed(2.0, n, 0.01) if kind == "sphere" else flat_profile(2.0, n, 1.7)
         u = np.random.default_rng(n).standard_normal((p.theta.size, 5))
-        d1, lap = toric._d1(p, u), toric.laplacian_1d(p, u)
+        d1, lap = toric._d1(p, u), laplacian(p, u)
         for i0, i1 in toric._row_blocks(*u.shape):
             rows, keep = toric._halo_rows(p, i0, i1)
             assert np.array_equal(toric._d1(p, u[rows])[keep], d1[i0:i1])
-            assert np.array_equal(toric._laplacian_rows(p, u[rows], rows)[keep], lap[i0:i1])
+            assert np.array_equal(toric.flux_laplacian(p, p.theta[rows, None], u[rows])[keep], lap[i0:i1])
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("n", [16, 17, 100, 255, 256, 512])
