@@ -9,7 +9,10 @@ Commands
 All outputs are deterministic: floats are printed with 17 significant
 digits in scientific notation, files are written atomically, and repeated
 runs produce byte-identical artifacts.  Exit codes: 0 pass, 1 tolerance
-failure, 2 invalid input.
+failure, 2 invalid input; an invalid input, a surface that ``toric``
+refuses included, writes no file.  The surface commands read their class
+data only from the ``toric.ProductSurface`` they build; ``converge``
+measures each sphere factor against its own 1/c.
 
 ``residual.csv`` holds a header plus (n+1)^2 rows ``z1,z2,E`` in z1-major
 order (a flat-torus factor has n nodes, not n+1).  It is streamed in the
@@ -187,6 +190,8 @@ class RunConfig:
             raise ValidationError("factor kinds must be 'sphere' or 'flat-torus'")
         if self.perturb_eps and self.kind1 == self.kind2 == "flat-torus":
             raise ValidationError("perturb_eps perturbs sphere factors, and both factors are flat")
+        if self.command == "converge" and self.kind1 == self.kind2 == "flat-torus":
+            raise ValidationError("converge measures sphere factors, and both factors are flat")
 
 
 _SURFACE_KEYS = {"c1", "c2", "kind1", "kind2", "a", "n"}
@@ -224,19 +229,16 @@ def _surface_config(path: str, command: str, out: str) -> RunConfig:
     return RunConfig(command=command, out=out, **raw)
 
 
-def _build_surface(cfg: RunConfig, n: int | None = None, perturbed: bool = False) -> toric.ProductSurface:
+def _build_surface(cfg: RunConfig, n: int | None = None) -> toric.ProductSurface:
     n = n or cfg.n
     factors = []
     for c, kind in ((cfg.c1, cfg.kind1), (cfg.c2, cfg.kind2)):
-        if kind == "sphere":
-            if perturbed and cfg.perturb_eps:
-                factors.append(
-                    toric.SphereProfile.round_perturbed(c, n, cfg.perturb_eps, cfg.perturb_mode)
-                )
-            else:
-                factors.append(toric.SphereProfile.round(c, n))
-        else:
+        if kind == "flat-torus":
             factors.append(toric.SphereProfile.flat(c, n))
+        elif cfg.perturb_eps:
+            factors.append(toric.SphereProfile.round_perturbed(c, n, cfg.perturb_eps, cfg.perturb_mode))
+        else:
+            factors.append(toric.SphereProfile.round(c, n))
     return toric.ProductSurface(factors[0], factors[1], cfg.a)
 
 
@@ -391,41 +393,15 @@ def _diagnostics(s: toric.ProductSurface, sup: float, l2: float) -> dict:
     return diag
 
 
-def _class_violation_exit(cfg: RunConfig, exc: ValidationError) -> int:
-    """Constraint violations still leave a topology report behind."""
-    area1 = 4.0 * np.pi * cfg.c1
-    area2 = 4.0 * np.pi * cfg.c2
-    write_json(
-        os.path.join(cfg.out, "diagnostics.json"),
-        {
-            "error": str(exc),
-            "class_data": {
-                "a": cfg.a,
-                "factor1_area": area1,
-                "factor2_area": area2,
-                "area_defect": abs(area1 - area2),
-            },
-        },
-    )
-    print(f"bhe: invalid input: {exc}", file=sys.stderr)
-    return EXIT_INVALID
-
-
 def run_pde_residual(cfg: RunConfig) -> int:
-    try:
-        s = _build_surface(cfg, perturbed=bool(cfg.perturb_eps))
-    except ValidationError as exc:
-        return _class_violation_exit(cfg, exc)
+    s = _build_surface(cfg)
     sup, l2 = _write_surface_artifacts(cfg, s)
     write_json(os.path.join(cfg.out, "diagnostics.json"), _diagnostics(s, sup, l2))
     return EXIT_PASS
 
 
 def run_pde_solve(cfg: RunConfig) -> int:
-    try:
-        s0 = _build_surface(cfg, perturbed=bool(cfg.perturb_eps))
-    except ValidationError as exc:
-        return _class_violation_exit(cfg, exc)
+    s0 = _build_surface(cfg)
     scfg = solver.SolverConfig(max_iterations=cfg.max_iterations, tolerance=cfg.solver_tol)
     trace = solver.newton_solve(s0, scfg)
     sup, l2 = _write_surface_artifacts(cfg, trace.surface)
@@ -445,18 +421,18 @@ def run_converge(cfg: RunConfig) -> int:
     residuals, kappa_errs, manufactured = [], [], []
     res_floors, kap_floors, man_floors = [], [], []  # round-off floors, one per grid
     for n in grids:
-        try:
-            s = _build_surface(cfg, n=n)
-        except ValidationError as exc:
-            return _class_violation_exit(cfg, exc)
+        s = _build_surface(cfg, n=n)
+        spheres = [p for p in (s.factor1, s.factor2) if p.kind == "sphere"]
+        # one quartic bump per distinct half-length, scaled by c^-3 below c = 1 to stay clear of its floor
+        bumps = {p.c: 1e-2 * max(1.0, p.c**-3) for p in spheres}
         residuals.append(toric.pde_residual(s).sup)
-        k1 = toric.gauss_curvature(s.factor1)
-        target = 1.0 / cfg.c1 if cfg.kind1 == "sphere" else 0.0
-        kappa_errs.append(float(np.max(np.abs(k1 - target))))
-        manufactured.append(toric.manufactured_truncation_error(cfg.c1, 1e-2, n))
+        kappa_errs.append(max(float(np.max(np.abs(toric.gauss_curvature(p) - 1.0 / p.c))) for p in spheres))
+        manufactured.append(max(toric.manufactured_truncation_error(c, eps, n) for c, eps in bumps.items()))
         res_floors.append(max(toric.roundoff_floor(p, 2) for p in (s.factor1, s.factor2)))
-        kap_floors.append(toric.roundoff_floor(s.factor1, 1))
-        man_floors.append(toric.roundoff_floor(toric.SphereProfile.quartic_bump(cfg.c1, n, 1e-2), 2))
+        kap_floors.append(max(toric.roundoff_floor(p, 1) for p in spheres))
+        man_floors.append(max(
+            toric.roundoff_floor(toric.SphereProfile.quartic_bump(c, n, eps), 2) for c, eps in bumps.items()
+        ))
 
     def order_entries(vals, floors):
         return [

@@ -71,7 +71,10 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (self.max_iterations > 0 and 0 < self.tolerance < 1):
-            raise ValidationError("solver configuration out of range")
+            raise ValidationError(
+                "solver configuration out of range: max_iterations must be positive and tolerance "
+                f"in (0, 1) (got max_iterations={self.max_iterations!r}, tolerance={self.tolerance!r})"
+            )
 
 
 @dataclass

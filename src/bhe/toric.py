@@ -81,7 +81,8 @@ class SphereProfile:
             tol = 50.0 * h * h
             if abs(dl - 2.0) > tol or abs(dr + 2.0) > tol:
                 raise ValidationError(
-                    f"pole smoothness violated: Theta'(-c)={dl:.6f}, Theta'(c)={dr:.6f}"
+                    f"pole smoothness violated: |Theta'(-c) - 2| = {abs(dl - 2.0):.3e} and "
+                    f"|Theta'(c) + 2| = {abs(dr + 2.0):.3e} must be at most 50 h^2 = {tol:.3e}"
                 )
         elif self.kind == "flat-torus":
             if theta.shape != (self.n,):

@@ -175,13 +175,53 @@ def test_overflowing_class_datum_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("a", [0.5, 0.0])
 def test_overflowing_intersection_numbers_exit_2(tmp_path, capsys, a):
-    # c^2 is finite but the area product (4 pi c)^2 is not: diagnostics.json
-    # would hold A_dot_A -inf (a = 1/2) or nan (a = 0, as 0 * inf)
+    # c^2 is finite but the area product (4 pi c)^2 is not: without the gate
+    # the topology block would hold A_dot_A -inf (a = 1/2) or nan (a = 0,
+    # as 0 * inf); the refused surface leaves no file
     cfg = write_config(tmp_path, c1=1e154, c2=1e154, a=a, n=32)
     assert main(["pde", "residual", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("bhe: invalid input: intersection numbers overflow") and err.count("\n") == 1
     assert not (tmp_path / "x" / "residual.csv").exists()
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "probe, reason",
+    [
+        ({"c2": 2.5}, "the class datum a = 0.5 != 0 needs equal factor areas (got 25.132741, 31.415927)"),
+        ({"c1": 1e154, "c2": 1e154},
+         "intersection numbers overflow: A.A = -2 a^2 area1 area2 / (2 pi)^2 is not finite for class datum "
+         "a = 0.5 and factor areas 1.2566370614359172e+155, 1.2566370614359172e+155"),
+        ({"a": 1e200}, "class datum a = 1e+200 must be finite with (2 a^2)^2 finite"),
+    ],
+    ids=["unequal-areas", "area-product-overflow", "class-datum-overflow"],
+)
+@pytest.mark.parametrize(
+    "command", [["pde", "residual"], ["pde", "solve"], ["converge"]], ids=lambda c: "-".join(c)
+)
+def test_refused_surface_writes_no_file(tmp_path, capsys, command, probe, reason):
+    # a surface that toric refuses is an invalid input like any other: one
+    # stderr line, exit 2 and no --out directory
+    cfg = write_config(tmp_path, **probe)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"bhe: invalid input: {reason}\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "probe, got",
+    [({"solver_tol": 2.0}, "max_iterations=50, tolerance=2.0"), ({"max_iterations": 0}, "max_iterations=0, tolerance=1e-08")],
+    ids=["solver-tol", "max-iterations"],
+)
+def test_solver_config_out_of_range_exit_2(tmp_path, capsys, probe, got):
+    cfg = write_config(tmp_path, n=32, **probe)
+    assert main(["pde", "solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "bhe: invalid input: solver configuration out of range: max_iterations must be positive "
+        f"and tolerance in (0, 1) (got {got})\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 def test_pde_residual_memory_peak(tmp_path):
@@ -331,14 +371,52 @@ class TestConverge:
     @pytest.mark.parametrize("c", [0.61, 2.05, 2.2, 2.45, 41.0])
     def test_round_surface_at_floor(self, tmp_path, c):
         # the exact solution a = 1/c: its round-off grows like h^-4, which
-        # a fixed floor read as negative orders; at c = 0.61 the n = 256
-        # manufactured error is within its floor too
+        # a fixed floor read as negative orders; the manufactured bump,
+        # scaled by c^-3 below c = 1, shows second order on both pairs
         cfg = write_config(tmp_path, c1=c, c2=c, a=1.0 / c)
         out = tmp_path / "conv"
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
         data = json.loads(read(out / "converge.json"))
         assert data["residual_orders"] == data["kappa_orders"] == ["at-floor", "at-floor"]
-        assert data["manufactured_orders"][0] >= 1.9
+        assert "at-floor" not in data["manufactured_orders"] and min(data["manufactured_orders"]) >= 1.9
+
+    def test_sphere_factor_measured_in_either_slot(self, tmp_path):
+        # the one sphere has c = 2.2; the flat factor's c = 1 is never read
+        runs = []
+        for flat_first in (True, False):
+            kinds = ("flat-torus", "sphere") if flat_first else ("sphere", "flat-torus")
+            cs = (1.0, 2.2) if flat_first else (2.2, 1.0)
+            cfg = write_config(tmp_path, c1=cs[0], c2=cs[1], kind1=kinds[0], kind2=kinds[1], a=0.0)
+            out = tmp_path / f"conv{len(runs)}"
+            assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+            runs.append(json.loads(read(out / "converge.json")))
+        assert runs[0]["kappa_errors"] == runs[1]["kappa_errors"]
+        assert all(e > 0 for e in runs[0]["kappa_errors"])
+        for data in runs:
+            assert data["manufactured_truncation"] == [
+                toric.manufactured_truncation_error(2.2, 1e-2, n) for n in data["grids"]]
+
+    def test_larger_sphere_factor_reported(self, tmp_path):
+        # each factor is measured at its own c, and the larger error is reported
+        cfg = write_config(tmp_path, c1=1.0, c2=3.0, a=0.0)
+        out = tmp_path / "conv"
+        # at a = 0 two round spheres leave E = -2 k1 k2, a constant that no grid refines
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+        data = json.loads(read(out / "converge.json"))
+        kappa = [max(float(np.max(np.abs(toric.gauss_curvature(toric.SphereProfile.round(c, n)) - 1.0 / c)))
+                     for c in (1.0, 3.0)) for n in data["grids"]]
+        assert data["kappa_errors"] == kappa
+        small = [toric.manufactured_truncation_error(1.0, 1e-2, n) for n in data["grids"]]
+        large = [toric.manufactured_truncation_error(3.0, 1e-2, n) for n in data["grids"]]
+        assert data["manufactured_truncation"] == large
+        assert all(x > y for x, y in zip(large, small))
+
+    def test_flat_flat_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, c1=1.0, c2=1.0, kind1="flat-torus", kind2="flat-torus", a=0.0)
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "bhe: invalid input: converge measures sphere factors, and both factors are flat\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_inconsistent_class_fails(self, tmp_path):
         cfg = write_config(tmp_path, c1=2.2, c2=2.2, a=0.3)

@@ -1,6 +1,7 @@
 """Momentum-profile surfaces: curvature, Laplacian, residuals, topology."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,17 @@ class TestProfiles:
         # forms inf - inf
         with pytest.raises(ValidationError, match="too large"):
             make()
+
+    def test_pole_gate_prints_defects_and_bound(self):
+        # below c ~ 5e-7 the bound 50 h^2 falls under round-off: the refusal
+        # shows why, where six fixed decimals would print 2.000000 twice
+        with pytest.raises(ValidationError) as info:
+            SphereProfile.round(1e-7, 64)
+        assert re.fullmatch(
+            r"pole smoothness violated: \|Theta'\(-c\) - 2\| = \d\.\d{3}e-\d\d and "
+            r"\|Theta'\(c\) \+ 2\| = \d\.\d{3}e-\d\d must be at most 50 h\^2 = 4\.883e-16",
+            str(info.value),
+        )
 
     def test_flat_profile_constant(self):
         assert np.all(SphereProfile.flat(1.0, 32).theta == 1.0)
