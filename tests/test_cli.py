@@ -380,6 +380,17 @@ class TestConverge:
         assert data["residual_orders"] == data["kappa_orders"] == ["at-floor", "at-floor"]
         assert "at-floor" not in data["manufactured_orders"] and min(data["manufactured_orders"]) >= 1.9
 
+    @pytest.mark.parametrize("c", [0.01, 0.03])
+    def test_small_round_surface_passes(self, tmp_path, c):
+        # eps c is capped at 1, so the bump's pole-slope error stays under
+        # the pole gate; c^-3 alone put it over the gate below c ~ 0.04
+        cfg = write_config(tmp_path, c1=c, c2=c, a=1.0 / c)
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads(read(out / "converge.json"))
+        assert data["manufactured_truncation"] == [
+            toric.manufactured_truncation_error(c, 1.0 / c, n) for n in data["grids"]]
+
     def test_sphere_factor_measured_in_either_slot(self, tmp_path):
         # the one sphere has c = 2.2; the flat factor's c = 1 is never read
         runs = []
