@@ -11,7 +11,8 @@ digits in scientific notation, files are written atomically, and repeated
 runs produce byte-identical artifacts.  Exit codes: 0 pass, 1 tolerance
 failure, 2 invalid input; an invalid input, a surface that ``toric``
 refuses included, writes no file.  The surface commands read their class
-data only from the ``toric.ProductSurface`` they build; ``converge``
+data only from the ``toric.ProductSurface`` they build, and each factor's
+curvature only from its cached ``SphereProfile.kappa``; ``converge``
 measures each sphere factor against its own 1/c.
 
 ``residual.csv`` holds a header plus (n+1)^2 rows ``z1,z2,E`` in z1-major
@@ -157,8 +158,8 @@ class RunConfig:
     n: int = 64
     perturb_eps: float = 0.0
     perturb_mode: str = "odd"
-    solver_tol: float = 1e-8
-    max_iterations: int = 50
+    solver_tol: float = solver.SolverConfig.tolerance
+    max_iterations: int = solver.SolverConfig.max_iterations
 
     def __post_init__(self):
         if self.command in ("verify", "reduce") and self.model not in catalog.MODEL_NAMES:
@@ -348,18 +349,18 @@ def _csv_columns(*columns) -> bytearray:
     return _lines(*cells)
 
 
-def _residual_lines(field: toric.PdeResidualField):
+def _residual_lines(z1: np.ndarray, z2: np.ndarray, E: np.ndarray):
     """``z1,z2,E`` lines in z1-major order, one ``_lines`` chunk per block of grid rows.
 
     The blocks are ``toric._row_blocks``, as for the l2 norm and the
     forward map: whole grid rows, up to ``toric.BLOCK_VALUES`` values, or
     3 to 5 rows where a row is longer, so the extra memory stays one block.
     """
-    z1 = _format.e16_cells(field.z1, ",")
-    z2 = _format.e16_cells(field.z2, ",")
-    for i0, i1 in toric._row_blocks(*field.E.shape):
-        E = field.E[i0:i1]
-        yield _lines(z1[i0:i1, None], z2, _format.e16_cells(E, "\n").reshape(E.shape))
+    z1 = _format.e16_cells(z1, ",")
+    z2 = _format.e16_cells(z2, ",")
+    for i0, i1 in toric._row_blocks(*E.shape):
+        block = E[i0:i1]
+        yield _lines(z1[i0:i1, None], z2, _format.e16_cells(block, "\n").reshape(block.shape))
 
 
 def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> tuple[float, float]:
@@ -368,13 +369,13 @@ def _write_surface_artifacts(cfg: RunConfig, s: toric.ProductSurface) -> tuple[f
     The residual grid E is dropped once residual.csv is written.
     """
     field = toric.pde_residual(s)
-    k1, k2 = toric.ricci_form_coeffs(s)
+    p1, p2 = s.factor1, s.factor2
     write_csv(
         os.path.join(cfg.out, "surface.csv"),
         ["z", "Theta1", "Theta2", "kappa1", "kappa2"],
-        [_csv_columns(s.factor1.z, s.factor1.theta, s.factor2.theta, k1, k2)],
+        [_csv_columns(p1.z, p1.theta, p2.theta, p1.kappa, p2.kappa)],
     )
-    write_csv(os.path.join(cfg.out, "residual.csv"), ["z1", "z2", "E"], _residual_lines(field))
+    write_csv(os.path.join(cfg.out, "residual.csv"), ["z1", "z2", "E"], _residual_lines(p1.z, p2.z, field.E))
     return field.sup, field.l2
 
 
@@ -427,18 +428,18 @@ def run_converge(cfg: RunConfig) -> int:
         spheres = [p for p in (s.factor1, s.factor2) if p.kind == "sphere"]
         # each curvature error is judged against its own factor's floor
         err, floor = max(
-            (float(np.max(np.abs(toric.gauss_curvature(p) - 1.0 / p.c))), toric.roundoff_floor(p, 1))
+            (float(np.max(np.abs(p.kappa - 1.0 / p.c))), toric.roundoff_floor(p, 1))
             for p in spheres
         )
         kappa_errs.append(err)
         kap_floors.append(floor)
         # one quartic bump, at the largest half-length: below c = 1 the c^-3 scale keeps
-        # its error clear of its floor, and 100/c caps eps c at 1, so its pole-slope
-        # error 8 eps c h^2 stays under the 50 h^2 pole gate
+        # its error clear of its floor, and 100/c caps eps c at 1 for every c, so its
+        # pole-slope error 8 eps c h^2 stays under the 50 h^2 pole gate
         c = max(p.c for p in spheres)
-        eps = 1e-2 * max(1.0, min(c**-3, 100.0 / c))
-        manufactured.append(toric.manufactured_truncation_error(c, eps, n))
-        man_floors.append(toric.roundoff_floor(toric.SphereProfile.quartic_bump(c, n, eps), 2))
+        err, floor = toric.manufactured_truncation_error(c, 1e-2 * min(max(1.0, c**-3), 100.0 / c), n)
+        manufactured.append(err)
+        man_floors.append(floor)
 
     def order_entries(vals, floors):
         return [
@@ -485,12 +486,12 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the identity suite on a catalog model")
     v.add_argument("--model", required=True)
-    v.add_argument("--tol", type=float, default=1e-10)
+    v.add_argument("--tol", type=float, default=RunConfig.tolerance)
     v.add_argument("--out", required=True)
 
     rd = sub.add_parser("reduce", help="dump the torus reduction of a catalog model")
     rd.add_argument("--model", required=True)
-    rd.add_argument("--tol", type=float, default=1e-10)
+    rd.add_argument("--tol", type=float, default=RunConfig.tolerance)
     rd.add_argument("--out", required=True)
 
     p = sub.add_parser("pde", help="transverse surface equation runs")

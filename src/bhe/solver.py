@@ -12,8 +12,8 @@ The residual separates over the two factors:
     k_f = -Theta_f''/2,  A_f = L_f(k_f) = toric.flux_laplacian(p_f, Theta_f, k_f),
 
 and toric._residual_grid builds E that way, from the factor data and one
-outer product; the solver calls it directly for each trial point and
-keeps the curvature pair it returns for the next step.  E and every
+outer product; the solver calls it directly for each trial point, and
+each step reads k_f from the profile's cached kappa.  E and every
 Jacobian column lie in
 
     U = R^{N1} (x) span(1, k2) + span(1, k1) (x) R^{N2},
@@ -147,13 +147,10 @@ def _unpack(s0: ProductSurface, x: np.ndarray) -> ProductSurface:
     return ProductSurface(factors[0], factors[1], s0.a)
 
 
-def _residual(
-    s0: ProductSurface, x: np.ndarray
-) -> tuple[ProductSurface, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The surface at unknowns x, its raveled residual field and its curvature pair (k1, k2)."""
+def _residual(s0: ProductSurface, x: np.ndarray) -> tuple[ProductSurface, np.ndarray]:
+    """The surface at unknowns x and its raveled residual field."""
     s = _unpack(s0, x)
-    E, k = _residual_grid(s)
-    return s, E.ravel(), k
+    return s, _residual_grid(s).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +228,7 @@ def _triangle(R: np.ndarray, m: int) -> bool:
     return bool(np.all(diag > (m + 1) * np.finfo(float).eps * diag.max()))
 
 
-def _gauss_newton_step(s: ProductSurface, r: np.ndarray, k: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
+def _gauss_newton_step(s: ProductSurface, r: np.ndarray) -> np.ndarray | None:
     """Least-squares step p minimizing |J p + r|, solved block by block.
 
     In the coordinates of _compress the problem is
@@ -245,8 +242,9 @@ def _gauss_newton_step(s: ProductSurface, r: np.ndarray, k: tuple[np.ndarray, np
     follows; one triangular solve per factor.  With one sphere factor only
     the second QR runs, with T = I and t = 0.  Returns None when a
     factor's triangle has a numerically zero diagonal entry or the step is
-    not finite.  k is the curvature pair of s, as _residual returns it.
+    not finite.
     """
+    k = (s.factor1.kappa, s.factor2.kappa)
     Q = [_span_basis(kf) for kf in k]
     own1, own2, c = _compress(r.reshape(k[0].size, k[1].size), Q[0], Q[1])
     r1, r2 = c.shape
@@ -298,7 +296,7 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
     """
     cfg = cfg or SolverConfig()
     x = _pack(s0)
-    s, r, k = _residual(s0, x)
+    s, r = _residual(s0, x)
     norm = np.linalg.norm(r)
     trace = SolveTrace(flag="", surface=s)
     trace.residual_sup.append(float(np.abs(r).max()))
@@ -311,13 +309,13 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
         return trace
 
     for _ in range(cfg.max_iterations):
-        p = _gauss_newton_step(s, r, k)
+        p = _gauss_newton_step(s, r)
         lam = 1.0
         accepted = False
         while p is not None and lam >= MIN_STEP:
             x_try = x + lam * p
             try:
-                s_try, r_try, k_try = _residual(s0, x_try)
+                s_try, r_try = _residual(s0, x_try)
             except ValidationError:
                 lam *= DAMPING  # positivity or smoothness violated
                 continue
@@ -330,7 +328,7 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
             trace.flag = "stalled"
             trace.surface = s
             return trace
-        x, s, r, k, norm = x_try, s_try, r_try, k_try, norm_try
+        x, s, r, norm = x_try, s_try, r_try, norm_try
         trace.residual_sup.append(float(np.abs(r).max()))
         trace.residual_l2.append(float(norm))
         trace.steps.append(lam)

@@ -19,8 +19,9 @@ area forms omega_1, omega_2; then (P,Q) ^ (P',Q') = (P Q' + Q P') dV, the
 Hodge star swaps the pair, and the full double-sum norm is
 |P omega_1 + Q omega_2|^2 = 2 P^2 + 2 Q^2 in the product metric.
 
-Every field on the product grid is built from one-dimensional factor data
-or in row blocks.  The scalar residual separates exactly,
+A profile caches its curvature SphereProfile.kappa, which every consumer
+reads.  Every field on the product grid is built from one-dimensional
+factor data or in row blocks.  The scalar residual separates exactly,
 
     E[i, j] = A1[i] + A2[j] - 2 k1[i] k2[j] + 2 a^2,   A_f = L_f(k_f),
 
@@ -35,7 +36,8 @@ no grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +55,7 @@ BLOCK_VALUES = 1 << 13  # grid values per row block (forward map, residual.csv)
 
 @dataclass(frozen=True)
 class SphereProfile:
-    """Momentum profile of one axially symmetric factor."""
+    """Momentum profile of one axially symmetric factor; theta is a read-only copy, so kappa stays valid."""
 
     c: float
     n: int
@@ -61,7 +63,8 @@ class SphereProfile:
     kind: str = "sphere"  # "sphere" | "flat-torus"
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
+        theta = np.array(self.theta, dtype=float)
+        theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         # written as not (x > 0) so that NaN fails the test
         if not (0.0 < self.c < math.inf) or self.n < 4:
@@ -103,6 +106,13 @@ class SphereProfile:
         if self.kind == "sphere":
             return -self.c + self.h * np.arange(self.n + 1)
         return -self.c + self.h * np.arange(self.n)
+
+    @cached_property
+    def kappa(self) -> np.ndarray:
+        """Gauss curvature -Theta''/2, one-sided at the poles, +0.0 where Theta'' is 0; cached, read-only."""
+        k = -0.5 * _d2(self, self.theta) + 0.0
+        k.flags.writeable = False
+        return k
 
     @property
     def area(self) -> float:
@@ -187,11 +197,6 @@ def _d2(p: SphereProfile, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def gauss_curvature(p: SphereProfile) -> np.ndarray:
-    """kappa = -Theta''/2 by central differences, one-sided at the poles; +0.0 where Theta'' is 0."""
-    return -0.5 * _d2(p, p.theta) + 0.0
-
-
 def flux_laplacian(p: SphereProfile, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(theta u')' in conservative form along axis 0 of u, on the grid of p.
 
@@ -252,11 +257,6 @@ class ProductSurface:
             )
 
 
-def ricci_form_coeffs(s: ProductSurface) -> tuple[np.ndarray, np.ndarray]:
-    """rho = kappa1 omega_1 + kappa2 omega_2 in the product ansatz."""
-    return gauss_curvature(s.factor1), gauss_curvature(s.factor2)
-
-
 def _separable_residual(A1: np.ndarray, A2: np.ndarray, k1: np.ndarray, k2: np.ndarray,
                         a: float) -> np.ndarray:
     """E[i, j] = A1[i] + A2[j] - 2 k1[i] k2[j] + 2 a^2: one outer product, two adds."""
@@ -266,47 +266,28 @@ def _separable_residual(A1: np.ndarray, A2: np.ndarray, k1: np.ndarray, k2: np.n
     return E
 
 
-def _residual_grid(s: ProductSurface) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The residual field E of s from its factor data, and the curvature pair (k1, k2).
+def _residual_grid(s: ProductSurface) -> np.ndarray:
+    """The residual field E of s from its factor data.
 
-    (1/2) Lap R with R = 2 k1 (x) 1 + 1 (x) 2 k2 is L1(k1) (x) 1 + 1 (x) L2(k2),
-    because each factor's operator annihilates the constants, so E needs
-    only A_f = L_f(k_f) on each factor.  This is the only code that builds E.
+    The Ricci form is rho = k1 omega_1 + k2 omega_2 with k_f the factor's
+    kappa.  (1/2) Lap R with R = 2 k1 (x) 1 + 1 (x) 2 k2 is
+    L1(k1) (x) 1 + 1 (x) L2(k2), because each factor's operator annihilates
+    the constants, so E needs only A_f = L_f(k_f) on each factor.  This is
+    the only code that builds E.
     """
-    k1, k2 = ricci_form_coeffs(s)
-    A1 = flux_laplacian(s.factor1, s.factor1.theta, k1)
-    A2 = flux_laplacian(s.factor2, s.factor2.theta, k2)
-    return _separable_residual(A1, A2, k1, k2, s.a), (k1, k2)
+    p1, p2 = s.factor1, s.factor2
+    A1 = flux_laplacian(p1, p1.theta, p1.kappa)
+    A2 = flux_laplacian(p2, p2.theta, p2.kappa)
+    return _separable_residual(A1, A2, p1.kappa, p2.kappa, s.a)
 
 
 @dataclass(frozen=True)
 class PdeResidualField:
-    """Grid values of the scalar residual with its norms.
-
-    weights are the two factor quadrature weights, and l2 is the quadrature
-    norm against their outer product.  Both norms go through one work array
-    the size of E, and the outer product of the weights is formed one
-    block of rows at a time.
-    """
+    """Grid values of the scalar residual with its sup and quadrature l2 norms."""
 
     E: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    weights: tuple[np.ndarray, np.ndarray]
-    sup: float = field(init=False)
-    l2: float = field(init=False)
-
-    def __post_init__(self):
-        E = self.E
-        work = np.abs(E)
-        sup = float(work.max())
-        np.multiply(E, E, out=work)
-        w1, w2 = self.weights
-        for i0, i1 in _row_blocks(*E.shape):
-            work[i0:i1] *= np.outer(w1[i0:i1], w2)
-        l2 = float(np.sqrt(np.sum(work)))
-        object.__setattr__(self, "sup", sup)
-        object.__setattr__(self, "l2", l2)
+    sup: float
+    l2: float
 
 
 def pde_residual(s: ProductSurface) -> PdeResidualField:
@@ -315,11 +296,19 @@ def pde_residual(s: ProductSurface) -> PdeResidualField:
     The fourth-order scalar equation balancing the square of the Ricci form
     against the square of the harmonic anti-self-dual representative; round
     profiles with a^2 = kappa1 kappa2 satisfy it exactly.  E is built from
-    factor data (see _residual_grid).
+    factor data (see _residual_grid).  The l2 norm is taken against the
+    outer product of the factor quadrature weights; both norms go through
+    one work array the size of E, and the outer product of the weights is
+    formed one block of rows at a time.
     """
-    E, _ = _residual_grid(s)
-    weights = (s.factor1.weights(), s.factor2.weights())
-    return PdeResidualField(E, s.factor1.z, s.factor2.z, weights)
+    E = _residual_grid(s)
+    work = np.abs(E)
+    sup = float(work.max())
+    np.multiply(E, E, out=work)
+    w1, w2 = s.factor1.weights(), s.factor2.weights()
+    for i0, i1 in _row_blocks(*E.shape):
+        work[i0:i1] *= np.outer(w1[i0:i1], w2)
+    return PdeResidualField(E, sup, float(np.sqrt(np.sum(work))))
 
 
 def _row_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
@@ -342,7 +331,7 @@ def _row_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
 
 
 def _kappa_integral(p: SphereProfile) -> float:
-    return float(np.sum(gauss_curvature(p) * p.weights()))
+    return float(np.sum(p.kappa * p.weights()))
 
 
 def _self_intersection(a: float, area1: float, area2: float) -> float:
@@ -396,14 +385,14 @@ def p4d_forward(s: ProductSurface) -> tuple[float, Report]:
     construction.
 
     The forward map holds one row block at a time: e^f = R/2 and f are built
-    for each block of _row_blocks straight from the curvature pair, with
+    for each block of _row_blocks straight from the factors' kappa, with
     its halo rows (_halo_rows) for the differences along the first factor,
     so every grid value gets the same stencil and arithmetic as on the
     whole grid and each recorded maximum is exactly the whole-grid one.
     The R > 0 gate reads the factor minima: rounding is monotone, so
     2 min k1 + 2 min k2 is exactly the least R on the grid.
     """
-    k1, k2 = ricci_form_coeffs(s)
+    k1, k2 = s.factor1.kappa, s.factor2.kappa
     rmin = float(2.0 * k1.min() + 2.0 * k2.min())
     if rmin <= 0:
         raise ValidationError(f"transverse scalar curvature must be positive (min {rmin:.6f})")
@@ -495,18 +484,19 @@ def _poly_profile_fields(c: float, eps: float) -> tuple[np.polynomial.Polynomial
     return theta, kappa, flux_div
 
 
-def manufactured_truncation_error(c: float, eps: float, n: int) -> float:
-    """Sup-norm discretization error of the residual on a quartic-bump surface.
+def manufactured_truncation_error(c: float, eps: float, n: int) -> tuple[float, float]:
+    """Sup-norm discretization error of the residual on a quartic-bump surface, and its round-off floor.
 
     The bump keeps the pole conditions exact while making Theta quartic, so
     differences pick up genuine O(h^2) truncation measured against the
-    polynomial-exact residual.
+    polynomial-exact residual.  The floor is roundoff_floor(bump, 2) of the
+    same bump profile.
     """
     p1 = SphereProfile.quartic_bump(c, n, eps)
     z = p1.z
     _, kappa_pol, flux_pol = _poly_profile_fields(c, eps)
-    E_h, _ = _residual_grid(ProductSurface(p1, p1))
+    E_h = _residual_grid(ProductSurface(p1, p1))
     kap = kappa_pol(z)
     A = 0.5 * flux_pol(z)  # L(kappa) = (1/2) d/dz (Theta dR_1/dz)
     E_h -= _separable_residual(A, A, kap, kap, 0.0)
-    return float(np.abs(E_h, out=E_h).max())
+    return float(np.abs(E_h, out=E_h).max()), roundoff_floor(p1, 2)

@@ -156,9 +156,7 @@ class TestAcceptance:
                 orders = toric.observed_orders(vals, floors)
                 assert all(o == float("inf") or o >= 1.9 for o in orders), (label, vals)
                 sups[label] = max(vals)
-            man = [toric.manufactured_truncation_error(2.0, 1e-2, n) for n in grids]
-            man_floors = [toric.roundoff_floor(toric.SphereProfile.quartic_bump(2.0, n, 1e-2), 2)
-                          for n in grids]
+            man, man_floors = zip(*(toric.manufactured_truncation_error(2.0, 1e-2, n) for n in grids))
             man_orders = toric.observed_orders(man, man_floors)
             assert all(o >= 1.9 for o in man_orders), man
             s = toric.ProductSurface(
@@ -218,7 +216,7 @@ class TestAcceptance:
             assert trace.final_residual < 1e-8
             kdev = 0.0
             for p in (trace.surface.factor1, trace.surface.factor2):
-                kdev = max(kdev, float(np.max(np.abs(toric.gauss_curvature(p) - 0.5))))
+                kdev = max(kdev, float(np.max(np.abs(p.kappa - 0.5))))
             assert kdev < 1e-6
             bad = toric.ProductSurface(
                 toric.SphereProfile.round(2.0, 64), toric.SphereProfile.round(2.0, 64), 0.25

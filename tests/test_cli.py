@@ -389,7 +389,20 @@ class TestConverge:
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
         data = json.loads(read(out / "converge.json"))
         assert data["manufactured_truncation"] == [
-            toric.manufactured_truncation_error(c, 1.0 / c, n) for n in data["grids"]]
+            toric.manufactured_truncation_error(c, 1.0 / c, n)[0] for n in data["grids"]]
+
+    @pytest.mark.parametrize("c", [700.0, 1e6])
+    def test_large_round_surface_passes(self, tmp_path, c):
+        # 100/c caps eps c at 1 above c = 100 too: with eps = 1e-2 the bump's
+        # pole-slope error 8 eps c h^2 went over the 50 h^2 pole gate near c = 630
+        cfg = write_config(tmp_path, c1=c, c2=c, a=1.0 / c)
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads(read(out / "converge.json"))
+        assert data["residual_orders"] == data["kappa_orders"] == ["at-floor", "at-floor"]
+        assert min(data["manufactured_orders"]) >= 1.9
+        assert data["manufactured_truncation"] == [
+            toric.manufactured_truncation_error(c, 1e-2 * (100.0 / c), n)[0] for n in data["grids"]]
 
     def test_sphere_factor_measured_in_either_slot(self, tmp_path):
         # the one sphere has c = 2.2; the flat factor's c = 1 is never read
@@ -405,7 +418,7 @@ class TestConverge:
         assert all(e > 0 for e in runs[0]["kappa_errors"])
         for data in runs:
             assert data["manufactured_truncation"] == [
-                toric.manufactured_truncation_error(2.2, 1e-2, n) for n in data["grids"]]
+                toric.manufactured_truncation_error(2.2, 1e-2, n)[0] for n in data["grids"]]
 
     def test_larger_sphere_factor_reported(self, tmp_path):
         # each factor is measured at its own c, and the larger error is reported
@@ -414,11 +427,11 @@ class TestConverge:
         # at a = 0 two round spheres leave E = -2 k1 k2, a constant that no grid refines
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
         data = json.loads(read(out / "converge.json"))
-        kappa = [max(float(np.max(np.abs(toric.gauss_curvature(toric.SphereProfile.round(c, n)) - 1.0 / c)))
+        kappa = [max(float(np.max(np.abs(toric.SphereProfile.round(c, n).kappa - 1.0 / c)))
                      for c in (1.0, 3.0)) for n in data["grids"]]
         assert data["kappa_errors"] == kappa
-        small = [toric.manufactured_truncation_error(1.0, 1e-2, n) for n in data["grids"]]
-        large = [toric.manufactured_truncation_error(3.0, 1e-2, n) for n in data["grids"]]
+        small = [toric.manufactured_truncation_error(1.0, 1e-2, n)[0] for n in data["grids"]]
+        large = [toric.manufactured_truncation_error(3.0, 1e-2, n)[0] for n in data["grids"]]
         assert data["manufactured_truncation"] == large
         assert all(x > y for x, y in zip(large, small))
 
@@ -435,6 +448,18 @@ class TestConverge:
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
         data = json.loads(read(out / "converge.json"))
         assert data["pass"] is False and "at-floor" not in data["residual_orders"]
+
+
+@pytest.mark.parametrize("command, d2_calls", [(["pde", "residual"], 2), (["converge"], 9)])
+def test_each_curvature_computed_once(tmp_path, monkeypatch, command, d2_calls):
+    # one _d2 per sphere profile built: two factors, and for converge also
+    # the manufactured bump, on each of its three grids
+    calls = []
+    d2 = toric._d2
+    monkeypatch.setattr(toric, "_d2", lambda p, u: calls.append(p) or d2(p, u))
+    cfg = write_config(tmp_path, c1=2.2, c2=2.2, a=1.0 / 2.2)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == d2_calls
 
 
 class TestDeterminism:
@@ -508,7 +533,7 @@ class TestCsvWriter:
             for kind in kinds
         )
         s = toric.ProductSurface(f1, f2, 0.0)
-        k1, k2 = toric.ricci_form_coeffs(s)
+        k1, k2 = s.factor1.kappa, s.factor2.kappa
         rows = [
             tuple(None if v is None else float(v) for v in row)
             for row in itertools.zip_longest(f1.z, f1.theta, f2.theta, k1, k2)
@@ -575,11 +600,12 @@ class TestCsvWriter:
         cfg = write_config(tmp_path, n=n, **body)
         out = tmp_path / "res"
         assert main(["pde", "residual", "--config", cfg, "--out", str(out)]) == 0
-        field = toric.pde_residual(toric.ProductSurface(*factors(n), body["a"]))
+        f1, f2 = factors(n)
+        field = toric.pde_residual(toric.ProductSurface(f1, f2, body["a"]))
         rows = [
             (float(z1), float(z2), float(field.E[i, j]))
-            for i, z1 in enumerate(field.z1)
-            for j, z2 in enumerate(field.z2)
+            for i, z1 in enumerate(f1.z)
+            for j, z2 in enumerate(f2.z)
         ]
         assert read(out / "residual.csv") == reference_csv(["z1", "z2", "E"], rows)
 
@@ -597,9 +623,8 @@ class TestCsvWriter:
                 [1e-5, 3.0e-320, -1e99, 1e100, 0.5],
             ]
         )
-        field = toric.PdeResidualField(E, z1, z2, (np.ones(4), np.ones(5)))
         rows = [(z1[i], z2[j], E[i, j]) for i in range(4) for j in range(5)]
-        text = b"".join(cli._residual_lines(field))
+        text = b"".join(cli._residual_lines(z1, z2, E))
         assert b"z1,z2,E\n" + text == reference_csv(["z1", "z2", "E"], rows)
 
 

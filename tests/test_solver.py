@@ -35,7 +35,7 @@ def full_jacobian(s):
     Column j of factor 1 is DA1[:, j] (x) 1 - 2 Dk1[:, j] (x) k2, and of
     factor 2 is 1 (x) DA2[:, j] - 2 k1 (x) Dk2[:, j].
     """
-    k1, k2 = toric.ricci_form_coeffs(s)
+    k1, k2 = s.factor1.kappa, s.factor2.kappa
     cols = []
     if s.factor1.kind == "sphere":
         DA, Dk = solver._factor_derivatives(s.factor1)
@@ -49,7 +49,7 @@ def full_jacobian(s):
 def dense_step(s0, fd_step=1e-6):
     """Reference step: one pde_residual per Jacobian column, then dense lstsq."""
     x = solver._pack(s0)
-    _, r0, _ = solver._residual(s0, x)
+    _, r0 = solver._residual(s0, x)
     J = np.empty((r0.size, x.size))
     for k in range(x.size):
         delta = fd_step * max(1.0, abs(x[k]))
@@ -67,7 +67,7 @@ def reference_system(s, r):
     E and the Jacobian columns; factor-1 columns have no rows in its second
     part.
     """
-    k1, k2 = toric.ricci_form_coeffs(s)
+    k1, k2 = s.factor1.kappa, s.factor2.kappa
     Q1, Q2 = solver._span_basis(k1), solver._span_basis(k2)
     N1, N2 = k1.size, k2.size
     r1, r2 = Q1.shape[1], Q2.shape[1]
@@ -120,10 +120,10 @@ class TestCompressedStep:
     )
     def test_matches_full_compressed_qr(self, kind, ranks):
         s0 = surface_pair(kind)
-        s, r, k = solver._residual(s0, solver._pack(s0))
-        assert tuple(solver._span_basis(kf).shape[1] for kf in k) == ranks
+        s, r = solver._residual(s0, solver._pack(s0))
+        assert tuple(solver._span_basis(p.kappa).shape[1] for p in (s.factor1, s.factor2)) == ranks
         p_ref = reference_step(s, r)
-        p = solver._gauss_newton_step(s, r, k)
+        p = solver._gauss_newton_step(s, r)
         assert np.linalg.norm(p - p_ref) <= 1e-9 * np.linalg.norm(p_ref)
 
     @pytest.mark.parametrize("kind", ["sphere-sphere", "sphere-flat", "flat-sphere"])
@@ -131,7 +131,7 @@ class TestCompressedStep:
         s0 = surface_pair(kind)
         s = solver._unpack(s0, solver._pack(s0))
         p_dense, r0 = dense_step(s)
-        p = solver._gauss_newton_step(s, r0, toric.ricci_form_coeffs(s))
+        p = solver._gauss_newton_step(s, r0)
         assert np.linalg.norm(p - p_dense) <= 1e-9 * np.linalg.norm(p_dense)
 
     @pytest.mark.parametrize("kind", ["sphere-sphere", "sphere-flat", "flat-sphere"])
@@ -140,7 +140,8 @@ class TestCompressedStep:
         # none in P1 E Q2; _jacobian returns the own block, then the
         # coupling rows in (own, other) order
         s0 = surface_pair(kind)
-        s, r0, k = solver._residual(s0, solver._pack(s0))
+        s, r0 = solver._residual(s0, solver._pack(s0))
+        k = (s.factor1.kappa, s.factor2.kappa)
         N1, N2 = s.factor1.theta.size, s.factor2.theta.size
         Q = [solver._span_basis(kf) for kf in k]
         parts = solver._compress(r0.reshape(N1, N2), *Q)
@@ -168,8 +169,8 @@ class TestCompressedStep:
         # cond(B^T J) grows like n^4; a step that truncates small singular
         # values leaves genuine directions unsolved (relative 0.041 here)
         s0 = surface_pair("sphere-sphere", n=1024)
-        s, r, k = solver._residual(s0, solver._pack(s0))
-        p = solver._gauss_newton_step(s, r, k)
+        s, r = solver._residual(s0, solver._pack(s0))
+        p = solver._gauss_newton_step(s, r)
         M, rhs = reference_system(s, r)
         assert np.linalg.norm(M @ p + rhs) <= 0.03 * np.linalg.norm(rhs)
 
@@ -187,7 +188,7 @@ class TestGaussNewton:
         assert trace.iterations <= 50
         assert trace.final_residual < 1e-8
         for p in (trace.surface.factor1, trace.surface.factor2):
-            kap = toric.gauss_curvature(p)
+            kap = p.kappa
             assert np.max(np.abs(kap - 0.5)) < 1e-6
 
     def test_inconsistent_class_data_stalls(self):
@@ -228,7 +229,7 @@ class TestGaussNewton:
     def test_jacobian_matches_directional_differences(self):
         s0 = perturbed_surface(n=32)
         x = solver._pack(s0)
-        s, r0, _ = solver._residual(s0, x)
+        s, r0 = solver._residual(s0, x)
         J = full_jacobian(s)
         rng = np.random.default_rng(4)
         for _ in range(3):

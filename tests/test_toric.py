@@ -102,17 +102,17 @@ class TestProfiles:
 class TestGaussCurvature:
     def test_round_two_exactly_half(self):
         p = SphereProfile.round(2.0, 64)
-        assert np.array_equal(toric.gauss_curvature(p), np.full(65, 0.5))
+        assert np.array_equal(p.kappa, np.full(65, 0.5))
 
     def test_round_one_exactly_one(self):
         p = SphereProfile.round(1.0, 64)
-        assert np.max(np.abs(toric.gauss_curvature(p) - 1.0)) < 1e-13
+        assert np.max(np.abs(p.kappa - 1.0)) < 1e-13
 
     def test_flat_factor_zero(self):
         p = SphereProfile.flat(1.0, 64)
-        assert np.max(np.abs(toric.gauss_curvature(p))) == 0.0
+        assert np.max(np.abs(p.kappa)) == 0.0
         # +0.0, not -Theta''/2 = -0.0, so surface.csv prints no negative zero
-        assert not np.signbit(toric.gauss_curvature(p)).any()
+        assert not np.signbit(p.kappa).any()
 
     def test_quartic_bump_second_order(self):
         # kappa of the quartic-bump profile against its exact polynomial value
@@ -124,7 +124,7 @@ class TestGaussCurvature:
             zz = P([0.0, 1.0])
             theta_q = (4.0 - zz**2) / 2.0 + 1e-2 * (4.0 - zz**2) ** 2
             pq = SphereProfile(2.0, n, theta_q(z), "sphere")
-            errs.append(float(np.max(np.abs(toric.gauss_curvature(pq) - kap_exact(z)))))
+            errs.append(float(np.max(np.abs(pq.kappa - kap_exact(z)))))
             floors.append(toric.roundoff_floor(pq, 1))
         orders = toric.observed_orders(errs, floors)
         assert all(o == float("inf") or o > 1.9 for o in orders), (errs, orders)
@@ -134,8 +134,27 @@ class TestGaussCurvature:
         for n in (64, 128):
             for eps, mode in ((0.0, "odd"), (5e-3, "odd"), (5e-3, "even")):
                 p = SphereProfile.round_perturbed(2.0, n, eps, mode)
-                total = float(np.sum(toric.gauss_curvature(p) * p.weights()))
+                total = float(np.sum(p.kappa * p.weights()))
                 assert total == pytest.approx(2.0, abs=20 * p.h**2)
+
+
+class TestProfileCache:
+    """Theta is a read-only copy, and the cached kappa is read-only too."""
+
+    @pytest.mark.parametrize("make", [lambda: SphereProfile.round(2.0, 32), lambda: SphereProfile.flat(1.0, 32)],
+                             ids=["sphere", "flat"])
+    def test_theta_and_kappa_read_only(self, make):
+        p = make()
+        for arr in (p.theta, p.kappa):
+            with pytest.raises(ValueError):
+                arr[3] = 1.0
+
+    def test_theta_is_a_copy(self):
+        # writing into the caller's array later cannot reach the profile or its kappa
+        theta = SphereProfile.round(2.0, 32).theta.copy()
+        p = SphereProfile(2.0, 32, theta, "sphere")
+        theta[5:9] *= 2.0
+        assert np.array_equal(p.kappa, np.full(33, 0.5))
 
 
 class TestLaplacian:
@@ -180,8 +199,7 @@ class TestResidual:
 
     def test_manufactured_truncation_order(self):
         grids = (64, 128, 256)
-        errs = [toric.manufactured_truncation_error(2.0, 1e-2, n) for n in grids]
-        floors = [toric.roundoff_floor(SphereProfile.quartic_bump(2.0, n, 1e-2), 2) for n in grids]
+        errs, floors = zip(*(toric.manufactured_truncation_error(2.0, 1e-2, n) for n in grids))
         orders = toric.observed_orders(errs, floors)
         assert all(o >= 1.9 for o in orders), (errs, orders)
 
@@ -196,13 +214,13 @@ class TestRoundoffFloor:
         for n in (64, 128, 256):
             p = SphereProfile.round(c, n)
             assert toric.pde_residual(ProductSurface(p, p, 1.0 / c)).sup <= toric.roundoff_floor(p, 2)
-            assert np.abs(toric.gauss_curvature(p) - 1.0 / c).max() <= toric.roundoff_floor(p, 1)
+            assert np.abs(p.kappa - 1.0 / c).max() <= toric.roundoff_floor(p, 1)
 
     @pytest.mark.parametrize("c", [2.05, 2.2, 2.25, 2.45])
     def test_manufactured_error_above_its_floor(self, c):
         for n in (64, 128, 256):
-            bump = SphereProfile.quartic_bump(c, n, 1e-2)
-            assert toric.manufactured_truncation_error(c, 1e-2, n) > toric.roundoff_floor(bump, 2)
+            err, floor = toric.manufactured_truncation_error(c, 1e-2, n)
+            assert err > floor
 
     def test_flat_factor_has_no_floor(self):
         assert toric.roundoff_floor(SphereProfile.flat(2.0, 64), 2) == 0.0
@@ -285,7 +303,7 @@ class TestForwardMap:
     def test_round22_halved_class(self):
         s = ProductSurface(SphereProfile.round(2.0, 64), SphereProfile.round(2.0, 64), 0.5)
         _, rep = toric.p4d_forward(s)
-        k1, k2 = toric.ricci_form_coeffs(s)
+        k1, k2 = s.factor1.kappa, s.factor2.kappa
         assert np.max(np.abs(np.log(k1[:, None] + k2))) == 0.0  # f = log(R/2)
         assert rep.max_residual() < 1e-13
 
@@ -293,7 +311,7 @@ class TestForwardMap:
         s = ProductSurface(SphereProfile.round(1.0, 64), SphereProfile.flat(1.0, 64), 0.0)
         _, rep = toric.p4d_forward(s)
         assert rep.max_residual() < 1e-13
-        k1, k2 = toric.ricci_form_coeffs(s)
+        k1, k2 = s.factor1.kappa, s.factor2.kappa
         assert k1[len(k1) // 2] == pytest.approx(1.0) and k2[len(k2) // 2] == pytest.approx(0.0)
 
     def test_rescaled_areas_violate_normalization(self):
@@ -350,7 +368,7 @@ def _class_datum_off_by_one_percent(monkeypatch):
 
 def _pole_half_weights_dropped(monkeypatch):
     monkeypatch.setattr(toric, "_kappa_integral",
-                        lambda p: float(np.sum(toric.gauss_curvature(p)) * p.h))
+                        lambda p: float(np.sum(p.kappa) * p.h))
     return consistent_round()
 
 
@@ -414,7 +432,7 @@ class TestDiagnosticsCanFail:
 
 def whole_grid_residual(s):
     """E = (1/2) Lap R - 2 k1 k2 + 2 a^2 with 2-D stencils on the full grid, and R."""
-    k1, k2 = toric.ricci_form_coeffs(s)
+    k1, k2 = s.factor1.kappa, s.factor2.kappa
     R = 2.0 * k1[:, None] + 2.0 * k2[None, :]
     lap = laplacian(s.factor1, R) + laplacian(s.factor2, R.T).T
     return 0.5 * lap - 2.0 * np.outer(k1, k2) + 2.0 * s.a**2, R
@@ -428,7 +446,7 @@ def whole_grid_norms(E, weights):
 
 def whole_grid_forward(s):
     """Residuals and notes of the forward map, every check on the whole grid."""
-    k1, k2 = toric.ricci_form_coeffs(s)
+    k1, k2 = s.factor1.kappa, s.factor2.kappa
     R = 2.0 * k1[:, None] + 2.0 * k2[None, :]
     rmin = float(np.min(R))
     if rmin <= 0:
@@ -555,7 +573,7 @@ class TestPositiveCurvatureGate:
             except ValidationError:  # a profile that turns nonpositive
                 continue
             s = ProductSurface(p1, p2)
-            k1, k2 = toric.ricci_form_coeffs(s)
+            k1, k2 = s.factor1.kappa, s.factor2.kappa
             assert 2.0 * k1.min() + 2.0 * k2.min() == np.min(2.0 * k1[:, None] + 2.0 * k2[None, :])
             try:
                 want = whole_grid_forward(s)
@@ -615,7 +633,7 @@ class TestSeparableResidual:
             kap = kappa_pol(z)
             E_exact = 0.5 * (flux_pol(z)[:, None] + flux_pol(z)[None, :]) - 2.0 * np.outer(kap, kap)
             ref = float(np.max(np.abs(E_h - E_exact)))
-            got = toric.manufactured_truncation_error(c, eps, n)
+            got, _ = toric.manufactured_truncation_error(c, eps, n)
             assert abs(got - ref) <= 16.0 * np.finfo(float).eps * np.abs(R).max() / p.h**2
 
 
