@@ -13,34 +13,34 @@ The residual separates over the two factors:
 
 and toric._residual_grid builds E that way, from the factor data and one
 outer product; the solver calls it directly for each trial point, and
-each step reads k_f from the profile's cached kappa.  E and every
-Jacobian column lie in
+each step reads k_f from the profile's cached kappa.  With Q_f an
+orthonormal basis of span(1, k_f), a factor-1 Jacobian column is X1 Q2^T
+on the grid and a factor-2 column Q1 X2^T, where X_f = DA_f (x) Q_o^T 1 -
+2 Dk_f (x) Q_o^T k_o has one row per (grid node, Q_o column).  The
+(n+1)^2-row Jacobian is never formed (C. F. Van Loan, "The ubiquitous
+Kronecker product", J. Comput. Appl. Math. 123 (2000)).
 
-    U = R^{N1} (x) span(1, k2) + span(1, k1) (x) R^{N2},
+A step is O(n) beyond E and its products with Q_f:
 
-a space of dimension at most 2 N1 + 2 N2 rather than N1 N2.  With Q_f an
-orthonormal basis of span(1, k_f) and P_f = I - Q_f Q_f^T, U splits
-orthogonally into three blocks,
-
-    P1 E Q2,    Q1^T E P2,    Q1^T E Q2,
-
-of sizes N1 r2, r1 N2 and r1 r2 <= 4 (r_f = 1 or 2 columns of Q_f), so
-min |J p + r| has the same solutions in these coordinates and the
-(n+1)^2-row Jacobian is never formed.  A factor-1 column
-DA1 (x) 1 - 2 Dk1 (x) k2 has no rows in Q1^T E P2, because P2 annihilates
-1 and k2; symmetrically a factor-2 column has no rows in P1 E Q2.  The
-factors meet only in the r1 r2 coupling rows Q1^T E Q2: least squares
-with a few added rows (A. Bjorck, Numerical Methods for Least Squares
-Problems, SIAM 1996, ch. 3; C. F. Van Loan, "The ubiquitous Kronecker
-product", J. Comput. Appl. Math. 123 (2000)).
-
-Each step is therefore solved block by block.  One Householder QR per
-sphere factor triangularizes its own block; the first also carries the
-coupling rows with an identity in place of the other factor's unknowns,
-and hands the triangle of what is left of them to the second, which folds
-them in exactly.  One triangular solve per factor gives the step.  This is
-the same least-squares solution as one QR of the whole compressed system,
-from two QRs of about 2n x n instead of one of about 4n x 2n.
+- Forward differences in band storage.  Unknown j's difference touches
+  BAND = 7 grid rows.  The six unknowns that reach a pole are differenced
+  on the whole grid in one stacked pass, whose column 0 is the base
+  point; every other one runs _d2 and flux_laplacian on its own window of
+  the base profile.  The values are those of the dense differences, bit
+  for bit.
+- Unprojected blocks.  With Q~_f = Q_f (x) I and P = I - Q~ Q~^T,
+  |P X p + g|^2 + |Q~^T X p + w|^2 = |X p + g + Q~ w|^2, so each factor
+  solves a banded problem [X_f | Q~_f | rhs] instead of a projected dense
+  block: factor 1 with factor 2's share of the coupling rows as its
+  trailing unknowns, factor 2 with free trailing unknowns.
+- Blocked Householder QR.  Each banded problem is triangularized in
+  panels of at most PANEL columns and PANEL_ENTRIES values, one
+  np.linalg.qr per panel over its new rows and the triangle the panel
+  before it left; one triangular solve per panel gives the step.
+- Schur fold.  The at most four coupling rows that factor 1 leaves enter
+  factor 2's triangle through an r1 r2 x r1 r2 Schur complement, so every
+  panel stays narrow (A. Bjorck, Numerical Methods for Least Squares
+  Problems, SIAM 1996, ch. 6).
 
 Each factor's Jacobian has full column rank: Dk_f is injective, because a
 profile change with zero second difference and fixed poles is zero.  So
@@ -52,6 +52,7 @@ directions at some n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,27 +155,73 @@ def _residual(s0: ProductSurface, x: np.ndarray) -> tuple[ProductSurface, np.nda
 
 
 # ---------------------------------------------------------------------------
-# block Gauss-Newton step
+# banded Gauss-Newton step
 # ---------------------------------------------------------------------------
 
 
+BAND = 7  # grid rows of one unknown's window: rows q-3 .. q+3 around its node q
+PANEL = 64  # most band columns of one Householder panel
+# most values of one panel matrix: above about 9000, OpenBLAS's QR costs more
+# per flop on two cores (1.4x at 134 x 73 and 2.7x at 196 x 101, against 130 x 66)
+PANEL_ENTRIES = 9000
+
+
+def _band_starts(n: int) -> np.ndarray:
+    """First grid row of each unknown's BAND rows.
+
+    Unknown j moves node q = j + 2, and its forward difference touches rows
+    q-2 .. q+2, inside the window q-3 .. q+3.  The three unknowns at each end
+    also reach a pole row through its one-sided stencils, so their windows
+    are the first or last BAND rows of the grid.
+    """
+    start = np.arange(n - 3) - 1
+    start[:3] = 0
+    start[-3:] = n - 6
+    return start
+
+
 def _factor_derivatives(p: SphereProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences of (A, k) = (L k, -Theta''/2) over the unknowns of p.
+    """Forward differences of (A, k) = (L k, -Theta''/2) over the unknowns of p, in band storage.
 
     Unknown j moves by FD_STEP * max(1, |x_j|) through the pole-constraint
-    map; all perturbed profiles are stacked as columns and differentiated
-    in one pass, flux_laplacian taking each column's own Theta.  Returns
-    (DA, Dk), each (n+1) x (n-3).
+    map.  Returns (DA, Dk), each BAND x (n-3): column j holds grid rows
+    _band_starts(n)[j] onward, and every other row of the difference is
+    exactly 0.  The values are those of differencing each perturbed profile
+    on the whole grid.  The six unknowns that reach a pole are differenced
+    that way, in one stacked pass whose column 0 is the base point.  Every
+    other unknown runs _d2 and flux_laplacian on its own window of the base
+    profile, the centre row perturbed and the curvature's edge rows taken
+    from the base point, so window rows 1-5 get the same stencil arithmetic
+    as on the whole grid.
     """
     inner = p.theta[2:-2]
     m = inner.size
     delta = FD_STEP * np.maximum(1.0, np.abs(inner))
-    X = np.repeat(inner[:, None], m + 1, axis=1)  # column 0 stays unperturbed
-    X[np.arange(m), np.arange(1, m + 1)] += delta
+    DA, Dk = np.zeros((BAND, m)), np.zeros((BAND, m))
+
+    pole = np.array([0, 1, 2, m - 3, m - 2, m - 1])
+    X = np.repeat(inner[:, None], pole.size + 1, axis=1)  # column 0 stays unperturbed
+    X[pole, np.arange(1, pole.size + 1)] += delta[pole]
     theta = _sphere_theta(p, X)
     k = -0.5 * _d2(p, theta)
     A = flux_laplacian(p, theta, k)
-    return (A[:, 1:] - A[:, :1]) / delta, (k[:, 1:] - k[:, :1]) / delta
+    for D, F in ((DA, A), (Dk, k)):
+        dF = (F[:, 1:] - F[:, :1]) / delta[pole]
+        D[:, :3], D[:, -3:] = dF[:BAND, :3], dF[-BAND:, 3:]
+
+    # unknowns 3 .. m-4: window rows j-1 .. j+5 of the base point
+    theta0, k0, A0 = theta[:, 0], k[:, 0], A[:, 0]
+    d = delta[3:-3]
+    win = np.arange(2, m - 4) + np.arange(BAND)[:, None]
+    tw = theta0[win]
+    tw[3] += d
+    kw = -0.5 * _d2(p, tw)
+    kw[0], kw[-1] = k0[win[0]], k0[win[-1]]  # outside the stencil: the base curvature
+    Aw = flux_laplacian(p, tw, kw)
+    inside = win[1:-1]
+    DA[1:-1, 3:-3] = (Aw[1:-1] - A0[inside]) / d
+    Dk[1:-1, 3:-3] = (kw[1:-1] - k0[inside]) / d
+    return DA, Dk
 
 
 def _span_basis(k: np.ndarray) -> np.ndarray:
@@ -192,96 +239,192 @@ def _span_basis(k: np.ndarray) -> np.ndarray:
     return np.column_stack([np.full(N, N**-0.5), d / norm])
 
 
-def _compress(E: np.ndarray, Q1: np.ndarray, Q2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P1 E Q2, (Q1^T E P2)^T, Q1^T E Q2): the three blocks of E in U.
+def _jacobian(p: SphereProfile, Qo: np.ndarray, ko: np.ndarray) -> np.ndarray:
+    """Band of the unprojected Jacobian block X of the unknowns of one sphere factor p.
 
-    Each block is laid out with its own factor's grid first, like the rows
-    of _jacobian; their squared norms add up to |E|^2 when E lies in U.
-    """
-    EQ2 = E @ Q2
-    C = Q1.T @ EQ2
-    return EQ2 - Q1 @ C, (Q1.T @ E - C @ Q2.T).T, C
-
-
-def _jacobian(p: SphereProfile, Q: np.ndarray, Qo: np.ndarray, ko: np.ndarray) -> np.ndarray:
-    """Compressed Jacobian columns of the unknowns of one sphere factor p.
-
-    Q is the span basis of p's own curvature, Qo and ko those of the other
-    factor.  A column is DA (x) 1 - 2 Dk (x) ko on the grid (own, other),
-    so against the other factor it only meets Qo^T 1 and Qo^T ko.  The
-    rows are (I - Q Q^T) X, the factor's own block, followed by the
-    coupling rows Q^T X, in (own, other) order, with X = DA (x) Qo^T 1 -
-    2 Dk (x) Qo^T ko.  J itself is never formed.
+    Qo and ko are the span basis and curvature of the other factor.  A
+    column is DA (x) 1 - 2 Dk (x) ko on the grid (own, other), that is
+    X Qo^T with X = DA (x) Qo^T 1 - 2 Dk (x) Qo^T ko, whose rows are (own
+    grid row, Qo column).  Returns X in band storage, BAND * r_o rows per
+    column starting at row _band_starts(n)[j] * r_o; J itself is never
+    formed.
     """
     DA, Dk = _factor_derivatives(p)
-    N, m = DA.shape
     X = DA[:, None, :] * Qo.sum(axis=0)[:, None] - 2.0 * Dk[:, None, :] * (Qo.T @ ko)[:, None]
-    X = X.reshape(N, -1)
-    C = Q.T @ X
-    X -= Q @ C
-    return np.concatenate([X.reshape(-1, m), C.reshape(-1, m)])
+    return X.reshape(-1, DA.shape[1])
 
 
-def _triangle(R: np.ndarray, m: int) -> bool:
-    """True when the first m diagonal entries of R are numerically nonzero."""
-    diag = np.abs(np.diagonal(R)[:m])
-    return bool(np.all(diag > (m + 1) * np.finfo(float).eps * diag.max()))
+@lru_cache(maxsize=16)
+def _panel_plan(n: int, r_o: int, t: int) -> tuple:
+    """Panels of a sphere factor's band with r_o rows per grid row and t dense columns.
+
+    Column j of the band holds BAND * r_o rows from row _band_starts(n)[j] * r_o
+    on.  The band columns are split into the fewest near-equal panels of at
+    most PANEL columns whose matrices hold at most PANEL_ENTRIES values each.
+    A panel's matrix stacks the triangle the panel before it left, over its
+    band columns c0..reach and D, on its new rows row0..row1, over the band
+    columns c0..c2 those rows reach and D.  Each entry is (c0, c1, c2, reach,
+    row0, row1, shape, dst, src): the band entries at flat positions src go
+    to the flat positions dst of the panel matrix.  This depends only on the
+    shapes, so it is built once per grid.
+    """
+    start = _band_starts(n) * r_o
+    height, m = BAND * r_o, n - 3
+    rows = start + np.arange(height)[:, None]
+    count = -(-m // PANEL)
+    while True:
+        bounds = [m * i // count for i in range(count + 1)]
+        plan, nc, reach, row0 = [], 0, 0, 0
+        for c0, c1 in zip(bounds, bounds[1:]):
+            row1 = int(rows[-1, c1 - 1]) + 1
+            c2 = int(np.searchsorted(start, row1))
+            shape = (nc + row1 - row0, c2 - c0 + t)
+            plan.append((c0, c1, c2, reach, row0, row1, shape))
+            nc, reach, row0 = min(shape) - (c1 - c0), c2, row1
+        if count == m or max(a * b for *_, (a, b) in plan) <= PANEL_ENTRIES:
+            break
+        count += 1
+    out = []
+    for c0, c1, c2, reach, row0, row1, shape in plan:
+        li, lj = np.nonzero((rows[:, c0:c2] >= row0) & (rows[:, c0:c2] < row1))
+        nc = shape[0] - (row1 - row0)
+        dst = (nc + rows[li, c0 + lj] - row0) * shape[1] + lj
+        src = li * m + c0 + lj
+        for index in (dst, src):
+            index.flags.writeable = False
+        out.append((c0, c1, c2, reach, row0, row1, shape, dst, src))
+    return tuple(out)
+
+
+def _panel_qr(band: np.ndarray, plan: tuple, dense: np.ndarray) -> tuple[list, np.ndarray]:
+    """Householder QR of [B | D], B the banded matrix that band stores, D dense, one QR per panel of plan.
+
+    Returns the panels, each (c0, c1, c2, R) with R the rows of the
+    triangle for band columns c0..c1, over band columns c0..c2 and then D,
+    and the triangle over D that the last panel leaves.
+    """
+    t = dense.shape[1]
+    panels, carry = [], np.zeros((0, t))
+    for c0, c1, c2, reach, row0, row1, shape, dst, src in plan:
+        A = np.zeros(shape)
+        nc = carry.shape[0]
+        A[:nc, : reach - c0] = carry[:, :-t]
+        A[:nc, -t:] = carry[:, -t:]
+        np.put(A, dst, band.take(src))
+        A[nc:, -t:] = dense[row0:row1]
+        R = np.linalg.qr(A, mode="r")
+        k = c1 - c0
+        panels.append((c0, c1, c2, R[:k]))
+        carry = R[k:, k:]
+    return panels, carry
+
+
+def _diagonal(panels: list) -> np.ndarray:
+    return np.concatenate([np.diagonal(R) for _, _, _, R in panels])
+
+
+def _back_substitute(panels: list, g: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Band unknowns p with R p = g - R_D tail, one triangular solve per panel from the last.
+
+    R_D are the panel rows over D; tail holds the values of D's unknowns
+    and a final 1 for its right-hand-side column.
+    """
+    p = np.zeros(panels[-1][1])
+    for c0, c1, c2, R in reversed(panels):
+        k = c1 - c0
+        b = g[c0:c1] - R[:, k : c2 - c0] @ p[c1:c2] - R[:, c2 - c0 :] @ tail
+        p[c0:c1] = np.linalg.solve(R[:, :k], b)
+    return p
+
+
+def _coupled(Q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The dense columns [Q (x) I | g] of a coupled factor, g being its N x r_o right-hand side.
+
+    Column (a, b) of Q (x) I is Q[:, a] on the rows (i, b), so the unknowns
+    behind it are in (a, b) order.
+    """
+    N, r_o = g.shape
+    r = Q.shape[1] * r_o
+    D = np.zeros((N, r_o, r + 1))
+    for b in range(r_o):
+        D[:, b, b:r:r_o] = Q
+    D[:, :, -1] = g
+    return D.reshape(N * r_o, -1)
+
+
+def _triangle(diag: np.ndarray, scale: float | None = None) -> bool:
+    """True when every diagonal entry of a triangle is numerically nonzero.
+
+    Nonzero means above (size + 1) eps times scale, by default the largest entry.
+    """
+    d = np.abs(diag)
+    return bool(np.all(d > (d.size + 1) * np.finfo(float).eps * (d.max() if scale is None else scale)))
 
 
 def _gauss_newton_step(s: ProductSurface, r: np.ndarray) -> np.ndarray | None:
-    """Least-squares step p minimizing |J p + r|, solved block by block.
+    """Least-squares step p minimizing |J p + r|, solved factor by factor.
 
-    In the coordinates of _compress the problem is
+    With X_f the unprojected block of factor f (_jacobian) and Q~_f =
+    Q_f (x) I, the problem is
 
-        min |M1 p1 + g1|^2 + |M2 p2 + g2|^2 + |C1 p1 + C2 p2 + c|^2,
+        min |X1 p1 + Q~1 C2 p2 + E Q2|^2 + min_v |X2 p2 + Q~2 v + E^T Q1|^2,
 
-    with at most four coupling rows.  Put w = C2 p2 + c.  A Householder QR
-    of [[M1, 0, g1], [C1, I, 0]] (unknowns p1, w) gives the best p1 for
-    any w from R11 p1 = -(R1w w + h), and leaves |T w + t|^2 from its
-    last rows.  A QR of [[M2, g2], [T C2, T c + t]] then gives p2, and p1
-    follows; one triangular solve per factor.  With one sphere factor only
-    the second QR runs, with T = I and t = 0.  Returns None when a
-    factor's triangle has a numerically zero diagonal entry or the step is
-    not finite.
+    where C2 p2 = Q~2^T X2 p2 is factor 2's share of the coupling rows.
+    A panel QR of [X1 | Q~1 | E Q2] (unknowns p1, w = C2 p2) gives the best
+    p1 for any w, and leaves |T w + t|^2 from its last rows.  A panel QR
+    of [X2 | Q~2 | E^T Q1] gives the triangle R over (p2, v); the rows
+    T C2 p2 + t are folded into it through an r1 r2 x r1 r2 Schur
+    complement.  With one sphere factor its QR alone has rhs E Q_other.
+    Returns None when a triangle has a numerically zero diagonal entry or
+    the step is not finite.
     """
     k = (s.factor1.kappa, s.factor2.kappa)
     Q = [_span_basis(kf) for kf in k]
-    own1, own2, c = _compress(r.reshape(k[0].size, k[1].size), Q[0], Q[1])
-    r1, r2 = c.shape
-    blocks = []  # (own rows, coupling rows in (factor 1, factor 2) order, own rhs)
-    for f, (p, g) in enumerate(((s.factor1, own1), (s.factor2, own2))):
-        if p.kind != "sphere":
-            continue
-        M = _jacobian(p, Q[f], Q[1 - f], k[1 - f])
-        C = M[g.size:]
-        if f:
-            C = C.reshape(r2, r1, -1).transpose(1, 0, 2).reshape(r1 * r2, -1)
-        blocks.append((M[: g.size], C, g.ravel()))
-    c = c.ravel()
-    T, t = np.eye(c.size), np.zeros(c.size)
-    head = None  # factor 1's triangle when factor 2 follows it
-    if len(blocks) == 2:
-        M1, C1, g1 = blocks.pop(0)
-        rows, m1 = M1.shape
-        A = np.zeros((rows + c.size, m1 + c.size + 1))
-        A[:rows, :m1], A[:rows, -1] = M1, g1
-        A[rows:, :m1], A[rows:, m1:-1] = C1, T
-        head = np.linalg.qr(A, mode="r")
-        if not _triangle(head, m1):
+    E = r.reshape(k[0].size, k[1].size)
+    EQ2 = E @ Q[1]
+    rhs = (EQ2, E.T @ Q[0])
+    factors = (s.factor1, s.factor2)
+
+    def factor_qr(f: int, dense: np.ndarray) -> tuple[list, np.ndarray]:
+        band = _jacobian(factors[f], Q[1 - f], k[1 - f])
+        return _panel_qr(band, _panel_plan(factors[f].n, Q[1 - f].shape[1], dense.shape[1]), dense)
+
+    spheres = [f for f in (0, 1) if factors[f].kind == "sphere"]
+    if len(spheres) == 1:
+        panels, _ = factor_qr(spheres[0], rhs[spheres[0]].reshape(-1, 1))
+        if not _triangle(_diagonal(panels)):
             return None
-        T, t = head[m1:-1, m1:-1], head[m1:-1, -1]
-    (M, C, g), = blocks
-    rows, m = M.shape
-    A = np.empty((rows + c.size, m + 1))
-    A[:rows, :m], A[:rows, -1] = M, g
-    A[rows:, :m], A[rows:, -1] = T @ C, T @ c + t
-    R = np.linalg.qr(A, mode="r")
-    if not _triangle(R, m):
+        p = _back_substitute(panels, np.zeros(panels[-1][1]), np.ones(1))
+        return p if np.all(np.isfinite(p)) else None
+
+    r1, r2 = Q[0].shape[1], Q[1].shape[1]
+    r = r1 * r2
+    panels1, tail1 = factor_qr(0, _coupled(Q[0], rhs[0]))
+    panels2, tail2 = factor_qr(1, _coupled(Q[1], rhs[1]))
+    Rvv, hv = tail2[:r, :r], tail2[:r, r]
+    # Rvv is judged against the unit norm of the columns of Q~2
+    band_ok = _triangle(_diagonal(panels1)) and _triangle(_diagonal(panels2))
+    if not (band_ok and _triangle(np.diagonal(Rvv), 1.0)):
         return None
-    p = np.linalg.solve(R[:m, :m], -R[:m, -1])
-    if head is not None:
-        w = C @ p + c
-        p = np.concatenate([np.linalg.solve(head[:m1, :m1], -(head[:m1, m1:-1] @ w + head[:m1, -1])), p])
+    # The rows T C2 p2 + t are B z + t with B = [T P Q~2^T X2, 0] over z = (p2, v),
+    # P reordering v's (b, a) layout to the (a, b) of w.  The v columns of
+    # [X2 | Q~2] are Q~2 itself, so R^{-T} B^T = (R[:, v] - [0; Rvv^{-T}]) (T P)^T
+    # with no solve against R.  Then z = R^{-1} (u - h), where u minimizes
+    # |u|^2 + |W^T u + e|^2 with W = R^{-T} B^T and e = t - W^T h.
+    T, t = tail1[:r, :r], tail1[:r, r]
+    TP = T.reshape(r, r1, r2).transpose(0, 2, 1).reshape(r, r)
+    Rinv = np.linalg.inv(Rvv)
+    G = np.vstack([R[:, c2 - c0 : c2 - c0 + r] for c0, _, c2, R in panels2] + [Rvv - Rinv.T])
+    W = G @ TP.T
+    h = np.concatenate([R[:, -1] for *_, R in panels2] + [hv])
+    e = t - W.T @ h
+    u = -W @ np.linalg.solve(np.eye(r) + W.T @ W, e)
+    v = Rinv @ (u[-r:] - hv)
+    p2 = _back_substitute(panels2, u[:-r], np.append(v, 1.0))
+    # v minimizes factor 2's first term, so C2 p2 = -P v - Q1^T E Q2
+    w = -v.reshape(r2, r1).T.ravel() - (Q[0].T @ EQ2).ravel()
+    p1 = _back_substitute(panels1, np.zeros(panels1[-1][1]), np.append(w, 1.0))
+    p = np.concatenate([p1, p2])
     return p if np.all(np.isfinite(p)) else None
 
 
@@ -289,12 +432,20 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
     """Damped Gauss-Newton on the profile unknowns.
 
     Each step is the exact least-squares solution of the compressed
-    system, from two per-factor QR factorizations (see _gauss_newton_step).
+    system, from one banded panel QR per sphere factor (see
+    _gauss_newton_step).  A sphere factor needs at least 9 intervals, so
+    that no unknown's band reaches both poles.
     Accepted steps strictly decrease the l2 residual; steps that make a
     profile nonpositive are rejected and damped like any other failed step.
     A numerically singular or non-finite step ends the run as "stalled".
     """
     cfg = cfg or SolverConfig()
+    for p in (s0.factor1, s0.factor2):
+        if p.kind == "sphere" and p.n < 9:
+            raise ValidationError(
+                f"the solver needs at least 9 intervals on a sphere factor, so that no unknown's band "
+                f"reaches both poles (got n = {p.n})"
+            )
     x = _pack(s0)
     s, r = _residual(s0, x)
     norm = np.linalg.norm(r)

@@ -8,6 +8,9 @@ only tests reach does not belong in the library.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -65,3 +68,12 @@ def unused_definitions() -> list[str]:
 
 def test_every_library_definition_is_used_by_the_library_or_the_benchmark():
     assert unused_definitions() == []
+
+
+def test_set_up_imports_no_solver_code():
+    # a fresh process that loads the catalog pays for no solver, toric or cli import
+    code = ("import sys, bhe; from bhe import catalog; catalog.load_catalog(); "
+            "print(' '.join(m for m in ('bhe.solver', 'bhe.toric', 'bhe.cli') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(LIBRARY.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == ""

@@ -106,6 +106,14 @@ class TestPde:
         assert history.splitlines()[0] == "iteration,residual,step"
 
     def test_singular_step_exit_1(self, tmp_path, monkeypatch):
+        self.check_singular_step_exit_1(tmp_path, monkeypatch, 32)
+
+    def test_singular_step_exit_1_in_three_panels(self, tmp_path, monkeypatch):
+        self.check_singular_step_exit_1(tmp_path, monkeypatch, 160)
+
+    @staticmethod
+    def check_singular_step_exit_1(tmp_path, monkeypatch, n):
+        # unknowns 0 and 1 share their band rows: a copied band column is a copied Jacobian column
         jacobian = solver._jacobian
 
         def duplicated_column(*args):
@@ -114,10 +122,11 @@ class TestPde:
             return M
 
         monkeypatch.setattr(solver, "_jacobian", duplicated_column)
-        cfg = write_config(tmp_path, perturb_eps=0.01)
+        cfg = write_config(tmp_path, perturb_eps=0.01, n=n)
         out = tmp_path / "solve"
         assert main(["pde", "solve", "--config", cfg, "--out", str(out)]) == 1
-        assert json.loads(read(out / "trace.json"))["flag"] == "stalled"
+        trace = json.loads(read(out / "trace.json"))
+        assert trace["flag"] == "stalled" and trace["iterations"] == 0
 
     def test_unequal_areas_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, c2=1.0)
