@@ -215,8 +215,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _surface_config(path: str, command: str, out: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh, object_pairs_hook=_unique_keys)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except IsADirectoryError:
+        raise ValidationError(f"config {path!r} is a directory, not a JSON file") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path!r} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
     known = _CONFIG_KEYS[command]
@@ -509,9 +514,19 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` that names a file, or a path under one, before any run starts."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValidationError(f"--out {out!r} cannot be made a directory: {path!r} exists and is not one")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_out(args.out)
         if args.command == "verify":
             cfg = RunConfig("verify", model=args.model, tolerance=args.tol, out=args.out)
             return run_verify(cfg)

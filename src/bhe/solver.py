@@ -23,11 +23,10 @@ Kronecker product", J. Comput. Appl. Math. 123 (2000)).
 A step is O(n) beyond E and its products with Q_f:
 
 - Forward differences in band storage.  Unknown j's difference touches
-  BAND = 7 grid rows.  The six unknowns that reach a pole are differenced
-  on the whole grid in one stacked pass, whose column 0 is the base
-  point; every other one runs _d2 and flux_laplacian on its own window of
-  the base profile.  The values are those of the dense differences, bit
-  for bit.
+  BAND = 7 grid rows, which no unknown BAND away touches, so the unknowns
+  fall into BAND colours and one stacked pass of _d2 and flux_laplacian
+  differences them all (Curtis, Powell and Reid 1974).  The values are
+  those of the dense differences, bit for bit.
 - Unprojected blocks.  With Q~_f = Q_f (x) I and P = I - Q~ Q~^T,
   |P X p + g|^2 + |Q~^T X p + w|^2 = |X p + g + Q~ w|^2, so each factor
   solves a banded problem [X_f | Q~_f | rhs] instead of a projected dense
@@ -51,6 +50,7 @@ directions at some n.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -71,10 +71,15 @@ class SolverConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not (self.max_iterations > 0 and 0 < self.tolerance < 1):
+        m, tol = self.max_iterations, self.tolerance
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+            raise ValidationError(f"max_iterations must be an integer (got {m!r})")
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValidationError(f"tolerance must be a real number (got {tol!r})")
+        if not (m > 0 and 0 < tol < 1):
             raise ValidationError(
                 "solver configuration out of range: max_iterations must be positive and tolerance "
-                f"in (0, 1) (got max_iterations={self.max_iterations!r}, tolerance={self.tolerance!r})"
+                f"in (0, 1) (got max_iterations={m!r}, tolerance={tol!r})"
             )
 
 
@@ -186,42 +191,24 @@ def _factor_derivatives(p: SphereProfile) -> tuple[np.ndarray, np.ndarray]:
     Unknown j moves by FD_STEP * max(1, |x_j|) through the pole-constraint
     map.  Returns (DA, Dk), each BAND x (n-3): column j holds grid rows
     _band_starts(n)[j] onward, and every other row of the difference is
-    exactly 0.  The values are those of differencing each perturbed profile
-    on the whole grid.  The six unknowns that reach a pole are differenced
-    that way, in one stacked pass whose column 0 is the base point.  Every
-    other unknown runs _d2 and flux_laplacian on its own window of the base
-    profile, the centre row perturbed and the curvature's edge rows taken
-    from the base point, so window rows 1-5 get the same stencil arithmetic
-    as on the whole grid.
+    exactly 0.  Unknowns BAND apart never touch each other's BAND rows, pole
+    stencils included, so unknown j moves in column 1 + j % BAND of one
+    stacked profile whose column 0 is the base point (A. R. Curtis, M. J. D.
+    Powell, J. K. Reid, "On the estimation of sparse Jacobian matrices",
+    J. Inst. Maths Applics 13 (1974)).  Each value is that of differencing
+    its perturbed profile alone on the whole grid, bit for bit.
     """
     inner = p.theta[2:-2]
     m = inner.size
     delta = FD_STEP * np.maximum(1.0, np.abs(inner))
-    DA, Dk = np.zeros((BAND, m)), np.zeros((BAND, m))
-
-    pole = np.array([0, 1, 2, m - 3, m - 2, m - 1])
-    X = np.repeat(inner[:, None], pole.size + 1, axis=1)  # column 0 stays unperturbed
-    X[pole, np.arange(1, pole.size + 1)] += delta[pole]
+    col = 1 + np.arange(m) % BAND
+    X = np.repeat(inner[:, None], min(BAND, m) + 1, axis=1)  # column 0 stays unperturbed
+    X[np.arange(m), col] += delta
     theta = _sphere_theta(p, X)
     k = -0.5 * _d2(p, theta)
     A = flux_laplacian(p, theta, k)
-    for D, F in ((DA, A), (Dk, k)):
-        dF = (F[:, 1:] - F[:, :1]) / delta[pole]
-        D[:, :3], D[:, -3:] = dF[:BAND, :3], dF[-BAND:, 3:]
-
-    # unknowns 3 .. m-4: window rows j-1 .. j+5 of the base point
-    theta0, k0, A0 = theta[:, 0], k[:, 0], A[:, 0]
-    d = delta[3:-3]
-    win = np.arange(2, m - 4) + np.arange(BAND)[:, None]
-    tw = theta0[win]
-    tw[3] += d
-    kw = -0.5 * _d2(p, tw)
-    kw[0], kw[-1] = k0[win[0]], k0[win[-1]]  # outside the stencil: the base curvature
-    Aw = flux_laplacian(p, tw, kw)
-    inside = win[1:-1]
-    DA[1:-1, 3:-3] = (Aw[1:-1] - A0[inside]) / d
-    Dk[1:-1, 3:-3] = (kw[1:-1] - k0[inside]) / d
-    return DA, Dk
+    rows = _band_starts(p.n) + np.arange(BAND)[:, None]
+    return (A[rows, col] - A[rows, 0]) / delta, (k[rows, col] - k[rows, 0]) / delta
 
 
 def _span_basis(k: np.ndarray) -> np.ndarray:

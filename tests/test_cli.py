@@ -358,6 +358,47 @@ def test_non_object_config_exit_2(tmp_path, capsys, command, text):
     assert not (tmp_path / "x").exists()
 
 
+SURFACE_COMMANDS = [["pde", "residual"], ["pde", "solve"], ["converge"]]
+
+
+@pytest.mark.parametrize("command", SURFACE_COMMANDS, ids=lambda c: "-".join(c))
+def test_config_directory_exit_2(tmp_path, capsys, command):
+    assert main([*command, "--config", str(tmp_path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        f"bhe: invalid input: config {str(tmp_path)!r} is a directory, not a JSON file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", SURFACE_COMMANDS, ids=lambda c: "-".join(c))
+def test_config_not_utf8_exit_2(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"c1": 2.0, "kind1": "sph\xe9re"}')
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        f"bhe: invalid input: config {str(cfg)!r} is not UTF-8 text (invalid continuation byte at byte 25)\n")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--model", "su2xsu2"], ["reduce", "--model", "hopf"], *SURFACE_COMMANDS],
+    ids=lambda c: "-".join(c[:2]) if c[0] == "pde" else c[0],
+)
+def test_out_under_a_file_exit_2(tmp_path, capsys, command, under):
+    # refused before any model or surface is built: one stderr line, no file written
+    if "--model" not in command:
+        command = [*command, "--config", write_config(tmp_path)]
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if under else blocker
+    assert main([*command, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"bhe: invalid input: --out {str(out)!r} cannot be made a directory: {str(blocker)!r} exists and is not one\n")
+    assert blocker.read_text() == "keep\n"
+    assert sorted(os.listdir(tmp_path)) == sorted(["taken"] + ["cfg.json"] * ("--config" in command))
+
+
 class TestConverge:
     def test_orders_reported(self, tmp_path):
         cfg = write_config(tmp_path)

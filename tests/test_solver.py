@@ -18,8 +18,16 @@ class TestConfig:
         assert cfg.max_iterations == 50 and cfg.tolerance == 1e-8
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(tolerance=2.0)
+        # a bool max_iterations would run one iteration, a float or a string fail later in newton_solve
+        for kw in ({"tolerance": 2.0}, {"max_iterations": True}, {"max_iterations": 2.5},
+                   {"max_iterations": "5"}, {"tolerance": "1e-8"}, {"tolerance": True},
+                   {"tolerance": None}, {"tolerance": 1e-8j}):
+            with pytest.raises(ValidationError):
+                SolverConfig(**kw)
+
+    def test_accepts_numpy_scalars(self):
+        cfg = SolverConfig(max_iterations=np.int64(3), tolerance=np.float32(1e-6))
+        assert cfg.max_iterations == 3
 
 
 def perturbed_surface(n=64, eps=1e-2, mode="odd", a=0.5):
@@ -123,16 +131,30 @@ KINDS = ["sphere-sphere", "sphere-flat", "flat-sphere", "round-inconsistent"]
 
 
 class TestCompressedStep:
-    @pytest.mark.parametrize("n", [16, 17, 64, 96, 1024])
+    # n = 9 .. 14: fewer unknowns than colours, exactly BAND of them, and one
+    # colour holding an unknown at each pole
+    @pytest.mark.parametrize("n", [9, 10, 11, 12, 13, 14, 16, 17, 64, 96, 1024])
     @pytest.mark.parametrize("profile", ["odd", "even", "round"])
     def test_band_is_the_dense_forward_difference(self, n, profile):
-        # the same arithmetic, bit for bit; zero outside the band
+        # the same arithmetic, bit for bit and sign bit for sign bit; zero outside the band
         p = (SphereProfile.round(2.2, n) if profile == "round"
              else SphereProfile.round_perturbed(2.2, n, 0.013, profile))
         band, ref = solver._factor_derivatives(p), dense_factor_derivatives(p)
         for b, d in zip(band, ref):
             assert b.shape == (solver.BAND, n - 3)
-            assert np.array_equal(band_to_dense(b, n), d)
+            D = band_to_dense(b, n)
+            assert np.array_equal(D, d)
+            assert np.array_equal(np.signbit(D), np.signbit(d))
+
+    @pytest.mark.parametrize("n", [9, 64, 1024])
+    def test_one_stacked_pass(self, n, monkeypatch):
+        # every unknown is differenced in one call of each stencil
+        calls = []
+        for name in ("_d2", "flux_laplacian"):
+            f = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        solver._factor_derivatives(SphereProfile.round_perturbed(2.2, n, 0.013))
+        assert sorted(calls) == ["_d2", "flux_laplacian"]
 
     @pytest.mark.parametrize(
         "kind, ranks",
