@@ -82,7 +82,7 @@ def dform_core(c: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """
     n = c.shape[0]
     if k == 0:
-        return np.zeros(n)
+        return np.zeros(n)  # invariant functions are constant
     out = np.zeros((n,) * (k + 1))
     bracket = np.einsum("abm,m...->ab...", c, b)  # b([e_a, e_b], ...)
     for axes, even in _dform_axes(k):

@@ -264,8 +264,6 @@ def exterior_derivative(b: FormTensor, algebra: StructureAlgebra) -> FormTensor:
     if b.degree + 1 > algebra.dim:
         raise ValueError(f"d raises degree {b.degree} beyond dimension {algebra.dim}")
     comp = _kernels.dform_core(algebra.c, b.components, b.degree)
-    if b.degree == 0:
-        comp = np.zeros(algebra.dim)  # invariant functions are constant
     return FormTensor._of(b.degree + 1, algebra.dim, comp)
 
 

@@ -424,7 +424,18 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
     that no unknown's band reaches both poles.
     Accepted steps strictly decrease the l2 residual; steps that make a
     profile nonpositive are rejected and damped like any other failed step.
-    A numerically singular or non-finite step ends the run as "stalled".
+    Each iterate, the start included, is recorded once, and the run ends
+    with one of four flags (`bhe pde solve` exits 0 on the first two, 1 on
+    the others):
+
+        at-floor        sup |E| <= tolerance at the start, with no step taken
+        converged       sup |E| <= tolerance after an accepted step
+        max-iterations  max_iterations steps accepted, sup |E| still above tolerance
+        stalled         no step: the surface has no unknowns, the step is
+                        numerically singular or not finite, or the line
+                        search falls below MIN_STEP
+
+    trace.surface is the last recorded iterate.
     """
     cfg = cfg or SolverConfig()
     for p in (s0.factor1, s0.factor2):
@@ -433,23 +444,21 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
                 f"the solver needs at least 9 intervals on a sphere factor, so that no unknown's band "
                 f"reaches both poles (got n = {p.n})"
             )
+    sup, l2, steps = [], [], []
     x = _pack(s0)
     s, r = _residual(s0, x)
     norm = np.linalg.norm(r)
-    trace = SolveTrace(flag="", surface=s)
-    trace.residual_sup.append(float(np.abs(r).max()))
-    trace.residual_l2.append(float(norm))
-    if trace.residual_sup[0] <= cfg.tolerance:
-        trace.flag = "at-floor"
-        return trace
-    if x.size == 0:
-        trace.flag = "stalled"
-        return trace
-
-    for _ in range(cfg.max_iterations):
-        p = _gauss_newton_step(s, r)
+    while True:
+        sup.append(float(np.abs(r).max()))
+        l2.append(float(norm))
+        if sup[-1] <= cfg.tolerance:
+            flag = "converged" if steps else "at-floor"
+            break
+        if len(steps) == cfg.max_iterations:
+            flag = "max-iterations"
+            break
+        p = _gauss_newton_step(s, r) if x.size else None
         lam = 1.0
-        accepted = False
         while p is not None and lam >= MIN_STEP:
             x_try = x + lam * p
             try:
@@ -459,22 +468,11 @@ def newton_solve(s0: ProductSurface, cfg: SolverConfig | None = None) -> SolveTr
                 continue
             norm_try = np.linalg.norm(r_try)
             if norm_try < norm:
-                accepted = True
                 break
             lam *= DAMPING
-        if not accepted:
-            trace.flag = "stalled"
-            trace.surface = s
-            return trace
+        else:
+            flag = "stalled"
+            break
         x, s, r, norm = x_try, s_try, r_try, norm_try
-        trace.residual_sup.append(float(np.abs(r).max()))
-        trace.residual_l2.append(float(norm))
-        trace.steps.append(lam)
-        if trace.residual_sup[-1] <= cfg.tolerance:
-            trace.flag = "converged"
-            trace.surface = s
-            return trace
-
-    trace.flag = "max-iterations"
-    trace.surface = s
-    return trace
+        steps.append(lam)
+    return SolveTrace(flag, s, sup, l2, steps)

@@ -103,9 +103,8 @@ class SphereProfile:
 
     @property
     def z(self) -> np.ndarray:
-        if self.kind == "sphere":
-            return -self.c + self.h * np.arange(self.n + 1)
-        return -self.c + self.h * np.arange(self.n)
+        z = _nodes(self.c, self.n)
+        return z if self.kind == "sphere" else z[:-1]
 
     @cached_property
     def kappa(self) -> np.ndarray:
@@ -130,7 +129,7 @@ class SphereProfile:
     def round(c: float, n: int) -> "SphereProfile":
         """Constant-curvature profile Theta = (c^2 - z^2)/c, kappa = 1/c."""
         _check_profile_scale(c)
-        z = -c + (2.0 * c / n) * np.arange(n + 1)
+        z = _nodes(c, n)
         return SphereProfile(c, n, (c * c - z * z) / c, "sphere")
 
     @staticmethod
@@ -141,17 +140,22 @@ class SphereProfile:
     def quartic_bump(c: float, n: int, eps: float) -> "SphereProfile":
         """Round profile plus eps (c^2 - z^2)^2: Theta is a quartic and the pole conditions are exact."""
         _check_profile_scale(c, eps)
-        z = -c + (2.0 * c / n) * np.arange(n + 1)
+        z = _nodes(c, n)
         return SphereProfile(c, n, (c * c - z * z) / c + eps * (c * c - z * z) ** 2, "sphere")
 
     @staticmethod
     def round_perturbed(c: float, n: int, eps: float, mode: str = "odd") -> "SphereProfile":
         """Round profile plus eps (c^2 - z^2)^2 * w(z); pole conditions survive."""
         _check_profile_scale(c, eps)
-        z = -c + (2.0 * c / n) * np.arange(n + 1)
+        z = _nodes(c, n)
         bump = (c * c - z * z) ** 2
         w = np.sin(z) if mode == "odd" else np.cos(z)
         return SphereProfile(c, n, (c * c - z * z) / c + eps * bump * w, "sphere")
+
+
+def _nodes(c: float, n: int) -> np.ndarray:
+    """The n + 1 nodes -c + h i of a sphere grid, h = 2c/n; a flat grid is the first n."""
+    return -c + (2.0 * c / n) * np.arange(n + 1)
 
 
 def _check_profile_scale(c: float, eps: float | None = None) -> None:

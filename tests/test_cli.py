@@ -105,6 +105,23 @@ class TestPde:
         history = read(out / "history.csv").decode()
         assert history.splitlines()[0] == "iteration,residual,step"
 
+    @pytest.mark.parametrize(
+        "kw, flag, iterations",
+        [
+            (dict(c1=2.2, c2=2.2, a=1 / 2.2, perturb_eps=0.013, max_iterations=1), "max-iterations", 1),
+            (dict(c1=1.0, c2=1.0, kind1="flat-torus", kind2="flat-torus", a=0.5, n=32), "stalled", 0),
+        ],
+        ids=["max-iterations", "stalled-no-unknowns"],
+    )
+    def test_unfinished_solve_exit_1(self, tmp_path, kw, flag, iterations):
+        cfg = write_config(tmp_path, **kw)
+        out = tmp_path / "solve"
+        assert main(["pde", "solve", "--config", cfg, "--out", str(out)]) == 1
+        trace = json.loads(read(out / "trace.json"))
+        assert trace["flag"] == flag and trace["iterations"] == iterations
+        # header plus the start and one row per accepted step
+        assert len(read(out / "history.csv").decode().splitlines()) == iterations + 2
+
     def test_singular_step_exit_1(self, tmp_path, monkeypatch):
         self.check_singular_step_exit_1(tmp_path, monkeypatch, 32)
 

@@ -103,6 +103,15 @@ class TestExteriorDerivative:
             b = random_form(k, 4, rng)
             assert exterior_derivative(b, alg).sup_norm() == 0.0
 
+    @pytest.mark.parametrize("model", ["su2xsu2", "hopf"])
+    def test_zero_form_is_closed(self, model):
+        # an invariant function is constant, so d of it is the zero 1-form
+        alg = catalog.build_model(model).algebra
+        d = exterior_derivative(FormTensor(0, alg.dim, np.array(2.5)), alg)
+        assert d.degree == 1
+        assert d.components.shape == (alg.dim,)
+        assert np.array_equal(d.components, np.zeros(alg.dim))
+
     def test_su2_dual_one_form(self):
         # d sigma^1 = -sigma^2 ^ sigma^3 for the cyclic su(2) frame
         alg = su2_algebra()

@@ -275,6 +275,34 @@ class TestGaussNewton:
         assert trace.flag == "stalled"
         assert trace.final_residual > 0.1
 
+    @pytest.mark.parametrize(
+        "surface, max_iterations, flag, iterations",
+        [
+            (lambda: ProductSurface(SphereProfile.round(2.0, 64), SphereProfile.round(2.0, 64), 0.5),
+             50, "at-floor", 0),
+            (lambda: surface_pair("sphere-sphere"), 50, "converged", None),
+            # the line search falls below MIN_STEP
+            (lambda: surface_pair("round-inconsistent"), 50, "stalled", None),
+            # no unknowns to move
+            (lambda: ProductSurface(SphereProfile.flat(1.0, 32), SphereProfile.flat(1.0, 32), 0.5),
+             50, "stalled", 0),
+            (lambda: surface_pair("sphere-sphere"), 1, "max-iterations", 1),
+            (lambda: surface_pair("sphere-sphere"), 2, "max-iterations", 2),
+        ],
+        ids=["at-floor", "converged", "stalled-line-search", "stalled-no-unknowns",
+             "max-iterations-1", "max-iterations-2"],
+    )
+    def test_every_exit_records_each_iterate(self, surface, max_iterations, flag, iterations):
+        trace = newton_solve(surface(), SolverConfig(max_iterations=max_iterations))
+        assert trace.flag == flag
+        if iterations is not None:
+            assert trace.iterations == iterations
+        else:
+            assert trace.iterations > 0
+        assert len(trace.residual_sup) == len(trace.residual_l2) == trace.iterations + 1
+        # the returned surface is the last recorded iterate
+        assert np.abs(toric._residual_grid(trace.surface)).max() == trace.residual_sup[-1]
+
     def test_singular_step_stalls(self, monkeypatch):
         self.check_singular_step_stalls(monkeypatch, 32)
 
