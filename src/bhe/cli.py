@@ -222,6 +222,9 @@ def _surface_config(path: str, command: str, out: str) -> RunConfig:
         raise ValidationError(f"config {path!r} is a directory, not a JSON file") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config {path!r} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # any other file that cannot be read or parsed, a duplicate key's ValidationError included
+        raise ValidationError(str(exc)) from None
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
     known = _CONFIG_KEYS[command]
@@ -425,57 +428,39 @@ def run_pde_solve(cfg: RunConfig) -> int:
 
 def run_converge(cfg: RunConfig) -> int:
     grids = (64, 128, 256)
-    residuals, kappa_errs, manufactured = [], [], []
-    res_floors, kap_floors, man_floors = [], [], []  # round-off floors, one per grid
+    # (value, round-off floor) pairs, one per grid, under the converge.json keys of each series and its orders
+    series = {("residual_sup", "residual_orders"): [], ("kappa_errors", "kappa_orders"): [],
+              ("manufactured_truncation", "manufactured_orders"): []}
     for n in grids:
         s = _build_surface(cfg, n=n)
-        # pde_residual's sup, without the quadrature l2 norm it also builds
-        residuals.append(float(np.abs(toric._residual_grid(s)).max()))
-        res_floors.append(max(toric.roundoff_floor(p, 2) for p in (s.factor1, s.factor2)))
         spheres = [p for p in (s.factor1, s.factor2) if p.kind == "sphere"]
-        # each curvature error is judged against its own factor's floor
-        err, floor = max(
-            (float(np.max(np.abs(p.kappa - 1.0 / p.c))), toric.roundoff_floor(p, 1))
-            for p in spheres
-        )
-        kappa_errs.append(err)
-        kap_floors.append(floor)
         # one quartic bump, at the largest half-length: below c = 1 the c^-3 scale keeps
         # its error clear of its floor, and 100/c caps eps c at 1 for every c, so its
         # pole-slope error 8 eps c h^2 stays under the 50 h^2 pole gate
         c = max(p.c for p in spheres)
-        err, floor = toric.manufactured_truncation_error(c, 1e-2 * min(max(1.0, c**-3), 100.0 / c), n)
-        manufactured.append(err)
-        man_floors.append(floor)
+        measured = (
+            # pde_residual's sup, without the quadrature l2 norm it also builds
+            (float(np.abs(toric._residual_grid(s)).max()),
+             max(toric.roundoff_floor(p, 2) for p in (s.factor1, s.factor2))),
+            # each curvature error is judged against its own factor's floor
+            max((float(np.max(np.abs(p.kappa - 1.0 / p.c))), toric.roundoff_floor(p, 1)) for p in spheres),
+            toric.manufactured_truncation_error(c, 1e-2 * min(max(1.0, c**-3), 100.0 / c), n),
+        )
+        for pairs, pair in zip(series.values(), measured):
+            pairs.append(pair)
 
-    def order_entries(vals, floors):
-        return [
-            ("at-floor" if o == float("inf") else o) for o in toric.observed_orders(vals, floors)
-        ]
-
-    res_orders = order_entries(residuals, res_floors)
-    kap_orders = order_entries(kappa_errs, kap_floors)
-    man_orders = order_entries(manufactured, man_floors)
-
-    def orders_ok(entries):
-        return all(e == "at-floor" or e >= 1.9 for e in entries)
-
-    ok = orders_ok(res_orders) and orders_ok(kap_orders) and orders_ok(man_orders)
-    payload = {
-        "grids": list(grids),
-        "residual_sup": residuals,
-        "residual_orders": res_orders,
-        "kappa_errors": kappa_errs,
-        "kappa_orders": kap_orders,
-        "manufactured_truncation": manufactured,
-        "manufactured_orders": man_orders,
-        "pass": ok,
-    }
+    payload = {"grids": list(grids)}
+    for (key, orders_key), pairs in series.items():
+        payload[key], floors = map(list, zip(*pairs))
+        orders = toric.observed_orders(payload[key], floors)
+        payload[orders_key] = [("at-floor" if o == float("inf") else o) for o in orders]
+    ok = all(e == "at-floor" or e >= 1.9 for _, orders_key in series for e in payload[orders_key])
+    payload["pass"] = ok
     write_json(os.path.join(cfg.out, "converge.json"), payload)
     write_csv(
         os.path.join(cfg.out, "orders.csv"),
         ["n", "residual_sup", "kappa_error", "manufactured_error"],
-        [_csv_columns(grids, residuals, kappa_errs, manufactured)],
+        [_csv_columns(grids, *(payload[key] for key, _ in series))],
     )
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -490,27 +475,19 @@ def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(prog="bhe", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    v = sub.add_parser("verify", help="run the identity suite on a catalog model")
-    v.add_argument("--model", required=True)
-    v.add_argument("--tol", type=float, default=RunConfig.tolerance)
-    v.add_argument("--out", required=True)
-
-    rd = sub.add_parser("reduce", help="dump the torus reduction of a catalog model")
-    rd.add_argument("--model", required=True)
-    rd.add_argument("--tol", type=float, default=RunConfig.tolerance)
-    rd.add_argument("--out", required=True)
-
-    p = sub.add_parser("pde", help="transverse surface equation runs")
-    psub = p.add_subparsers(dest="pde_command", required=True)
-    for name in ("solve", "residual"):
-        pp = psub.add_parser(name)
-        pp.add_argument("--config", required=True)
-        pp.add_argument("--out", required=True)
-
-    cv = sub.add_parser("converge", help="grid refinement study")
-    cv.add_argument("--config", required=True)
-    cv.add_argument("--out", required=True)
+    for name, text in (("verify", "run the identity suite on a catalog model"),
+                       ("reduce", "dump the torus reduction of a catalog model")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--model", required=True)
+        p.add_argument("--tol", type=float, default=RunConfig.tolerance)
+        p.add_argument("--out", required=True)
+    psub = sub.add_parser("pde", help="transverse surface equation runs").add_subparsers(
+        dest="pde_command", required=True
+    )
+    for p in (psub.add_parser("solve"), psub.add_parser("residual"),
+              sub.add_parser("converge", help="grid refinement study")):
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
     return ap
 
 
@@ -523,25 +500,21 @@ def _check_out(out: str) -> None:
         raise ValidationError(f"--out {out!r} cannot be made a directory: {path!r} exists and is not one")
 
 
+_RUNS = {"verify": run_verify, "reduce": run_reduce, "pde-residual": run_pde_residual,
+         "pde-solve": run_pde_solve, "converge": run_converge}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    command = f"pde-{args.pde_command}" if args.command == "pde" else args.command
     try:
         _check_out(args.out)
-        if args.command == "verify":
-            cfg = RunConfig("verify", model=args.model, tolerance=args.tol, out=args.out)
-            return run_verify(cfg)
-        if args.command == "reduce":
-            cfg = RunConfig("reduce", model=args.model, tolerance=args.tol, out=args.out)
-            return run_reduce(cfg)
-        if args.command == "pde":
-            command = f"pde-{args.pde_command}"
+        if "model" in args:
+            cfg = RunConfig(command, model=args.model, tolerance=args.tol, out=args.out)
+        else:
             cfg = _surface_config(args.config, command, args.out)
-            if command == "pde-solve":
-                return run_pde_solve(cfg)
-            return run_pde_residual(cfg)
-        # argparse admits no command but these four
-        return run_converge(_surface_config(args.config, "converge", args.out))
-    except (ValidationError, KahlerInputError, FileNotFoundError, json.JSONDecodeError) as exc:
+        return _RUNS[cfg.command](cfg)
+    except (ValidationError, KahlerInputError) as exc:
         print(f"bhe: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

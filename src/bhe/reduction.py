@@ -473,8 +473,7 @@ def transverse_package(r: ReductionData) -> tuple[HermitianModel, FormTensor, Fo
 
 
 def assemble(
-    transverse: HermitianModel, F_V: FormTensor, F_JV: FormTensor, f: float = 0.0,
-    name: str = "assembled",
+    transverse: HermitianModel, F_V: FormTensor, F_JV: FormTensor, f: float = 0.0
 ) -> HermitianModel:
     """Total model over four-dimensional transverse data with curvatures F.
 
@@ -520,7 +519,7 @@ def assemble(
     J[:hd, :hd] = transverse.J
     J[ijv, iv] = 1.0
     J[iv, ijv] = -1.0
-    return HermitianModel(algebra, MetricFrame(g), J, f=f, name=name)
+    return HermitianModel(algebra, MetricFrame(g), J, f=f, name="assembled")
 
 
 # ---------------------------------------------------------------------------

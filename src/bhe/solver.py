@@ -51,7 +51,7 @@ directions at some n.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -89,9 +89,9 @@ class SolveTrace:
 
     flag: str
     surface: ProductSurface
-    residual_sup: list[float] = field(default_factory=list)
-    residual_l2: list[float] = field(default_factory=list)
-    steps: list[float] = field(default_factory=list)
+    residual_sup: list[float]
+    residual_l2: list[float]
+    steps: list[float]
 
     @property
     def iterations(self) -> int:

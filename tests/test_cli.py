@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -396,6 +397,54 @@ def test_config_not_utf8_exit_2(tmp_path, capsys, command):
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", SURFACE_COMMANDS, ids=lambda c: "-".join(c))
+def test_config_under_a_file_exit_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    path = os.path.join(cfg, "x")
+    assert main([*command, "--config", path, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"bhe: invalid input: [Errno 20] Not a directory: {path!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root reads a file of mode 000")
+@pytest.mark.parametrize("command", SURFACE_COMMANDS, ids=lambda c: "-".join(c))
+def test_config_unreadable_exit_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    os.chmod(cfg, 0)
+    try:
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    finally:
+        os.chmod(cfg, 0o644)
+    assert capsys.readouterr().err == f"bhe: invalid input: [Errno 13] Permission denied: {cfg!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (None, "[Errno 2] No such file or directory: {path!r}"),
+        ('{"c1": 2.0, "c2": ', "Expecting value: line 1 column 19 (char 18)"),
+        # the decoder's own limits: a 5000-digit integer and arrays nested 10^5 deep
+        ('{"n": ' + "1" * 5000 + "}", None),
+        ("[" * 100000 + "]" * 100000, None),
+    ],
+    ids=["missing", "broken", "long-integer", "deep-nesting"],
+)
+@pytest.mark.parametrize("command", SURFACE_COMMANDS, ids=lambda c: "-".join(c))
+def test_config_unparsable_exit_2(tmp_path, capsys, command, text, reason):
+    path = str(tmp_path / "cfg.json")
+    if text is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    assert main([*command, "--config", path, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    if reason is None:
+        assert err.startswith("bhe: invalid input: ") and err.count("\n") == 1
+    else:
+        assert err == f"bhe: invalid input: {reason.format(path=path)}\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"] * (text is not None)
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize(
     "command",
@@ -414,6 +463,58 @@ def test_out_under_a_file_exit_2(tmp_path, capsys, command, under):
         f"bhe: invalid input: --out {str(out)!r} cannot be made a directory: {str(blocker)!r} exists and is not one\n")
     assert blocker.read_text() == "keep\n"
     assert sorted(os.listdir(tmp_path)) == sorted(["taken"] + ["cfg.json"] * ("--config" in command))
+
+
+def all_finite(obj) -> bool:
+    """Every number in a parsed JSON artifact is finite (``fmt_float`` prints nan and inf as strings)."""
+    if isinstance(obj, dict):
+        return all(map(all_finite, obj.values()))
+    if isinstance(obj, list):
+        return all(map(all_finite, obj))
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    return obj not in ("nan", "inf", "-inf")
+
+
+def test_sweep_of_surface_configs(tmp_path, capsys):
+    # seeded draws over the surface configs, both ends of every range included: each
+    # run ends 0 or 1 with finite numbers, or 2 with one line and no --out directory
+    rng = np.random.default_rng(2024)
+    kinds = ("sphere", "flat-torus")
+    codes = []
+    for draw in range(256):
+        command = SURFACE_COMMANDS[rng.integers(3)]
+        c1 = float(rng.choice([1e-8, 1e8])) if rng.random() < 0.1 else float(10.0 ** rng.uniform(-8, 8))
+        cfg = {
+            "c1": c1,
+            "c2": c1 if rng.random() < 0.5 else float(10.0 ** rng.uniform(-8, 8)),
+            "kind1": kinds[rng.integers(2)],
+            "kind2": kinds[rng.integers(2)],
+            "a": [0.0, 1.0 / c1, 0.25, float(rng.uniform(-1, 1)), 1e200][rng.integers(5)],
+            "n": 4097 if rng.random() < 0.1 else 64 if command == ["converge"] else int(rng.integers(16, 97)),
+        }
+        if command != ["converge"] and rng.random() < 0.5:
+            cfg["perturb_eps"] = float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6, -1))
+            if rng.random() < 0.5:
+                cfg["perturb_mode"] = ("odd", "even")[rng.integers(2)]
+        if command == ["pde", "solve"]:
+            cfg["max_iterations"] = int(rng.integers(1, 21))
+        path = tmp_path / f"cfg{draw}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / f"out{draw}"
+        code = main([*command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        codes.append(code)
+        if code == 2:
+            assert err.startswith("bhe: invalid input: ") and err.count("\n") == 1, (cfg, err)
+            assert not out.exists(), cfg
+            continue
+        assert code in (0, 1) and err == "", (cfg, code, err)
+        for name in os.listdir(out):
+            if name.endswith(".json"):
+                assert all_finite(json.loads(read(out / name))), (cfg, name)
+    # the draw reaches every exit code
+    assert set(codes) == {0, 1, 2}
 
 
 class TestConverge:
@@ -747,6 +848,32 @@ class TestAtomicWrite:
 class TestParser:
     def test_built_once_per_process(self):
         assert cli._parser() is cli._parser()
+
+    def test_command_line_surface(self, tmp_path, capsys):
+        def help_text(*argv):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--help"])
+            assert info.value.code == 0
+            return capsys.readouterr().out
+
+        assert "{verify,reduce,pde,converge}" in help_text()
+        assert "{solve,residual}" in help_text("pde")
+        for argv, options in (
+            (["verify"], "--model MODEL [--tol TOL] --out OUT"),
+            (["reduce"], "--model MODEL [--tol TOL] --out OUT"),
+            (["pde", "solve"], "--config CONFIG --out OUT"),
+            (["pde", "residual"], "--config CONFIG --out OUT"),
+            (["converge"], "--config CONFIG --out OUT"),
+        ):
+            assert help_text(*argv).startswith(f"usage: bhe {' '.join(argv)} [-h] {options}\n")
+        # an unknown command and a missing --model are usage errors: exit 2, nothing written
+        for argv in (["bogus", "--out", str(tmp_path / "x")], ["verify", "--out", str(tmp_path / "x")]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: bhe")
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_process_runs_commands_in_turn(self, tmp_path, capsys):
         # the shared parser keeps no state from one call to the next

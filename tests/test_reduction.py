@@ -271,7 +271,7 @@ class TestAssembly:
     def test_round_trip_su2xsu2(self, reduced):
         r = reduced["su2xsu2"]
         trans, F_V4, F_JV4, f = reduction.transverse_package(r)
-        asm = reduction.assemble(trans, F_V4, F_JV4, f, name="asm")
+        asm = reduction.assemble(trans, F_V4, F_JV4, f)
         assert bhe_residual(asm) < 1e-12
         s1 = reduction.curvature_operator_spectrum(r.parent)
         s2 = reduction.curvature_operator_spectrum(asm)
